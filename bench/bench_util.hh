@@ -14,11 +14,13 @@
 #ifndef F4T_BENCH_BENCH_UTIL_HH
 #define F4T_BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,6 +129,30 @@ mrps(std::uint64_t count, sim::Tick window)
 {
     double seconds = sim::ticksToSeconds(window);
     return seconds > 0 ? count / seconds / 1e6 : 0.0;
+}
+
+/**
+ * Strict unsigned CLI value for @p flag: decimal digits only, no
+ * trailing junk, no overflow, and at least @p min. On a bad value it
+ * says why on stderr and returns false, so the caller exits 2 with its
+ * usage line instead of silently running with 0.
+ */
+template <typename T>
+bool
+parseCount(const char *flag, const char *text, T &out, std::uint64_t min)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long value = std::strtoull(text, &end, 10);
+    if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno != 0 ||
+        value > std::numeric_limits<T>::max() || value < min) {
+        std::fprintf(stderr,
+                     "%s: invalid value '%s' (want an integer >= %llu)\n",
+                     flag, text, static_cast<unsigned long long>(min));
+        return false;
+    }
+    out = static_cast<T>(value);
+    return true;
 }
 
 /**

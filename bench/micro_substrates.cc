@@ -200,19 +200,14 @@ BM_IntervalSetInsert(benchmark::State &state)
 BENCHMARK(BM_IntervalSetInsert);
 
 /**
- * The two dispatch representations of the event hot loop (DESIGN.md
- * §17), measured through the real queue: one-shot callbacks drained by
- * EventQueue::dispatch() with the tagged switch (Arg(1)) or forced
- * through virtual process() (Arg(0)). In a -DF4T_TAGGED_DISPATCH=OFF
- * build the toggle clamps, so both args measure the virtual path.
+ * The event hot loop's tagged dispatch (DESIGN.md §17), measured
+ * through the real queue: one-shot callbacks drained by
+ * EventQueue::dispatch()'s switch on the event kind byte.
  */
 void
-BM_DispatchVirtualVsTagged(benchmark::State &state)
+BM_DispatchTagged(benchmark::State &state)
 {
-    const bool tagged = state.range(0) != 0;
     sim::Simulation sim;
-    const bool prev = sim::taggedDispatchEnabled();
-    sim::setTaggedDispatch(tagged);
     constexpr int batch = 1024;
     std::uint64_t fired = 0;
     for (auto _ : state) {
@@ -222,12 +217,9 @@ BM_DispatchVirtualVsTagged(benchmark::State &state)
         sim.run(base + batch);
     }
     benchmark::DoNotOptimize(fired);
-    sim::setTaggedDispatch(prev);
     state.SetItemsProcessed(state.iterations() * batch);
-    state.SetLabel(tagged && sim::taggedDispatchCompiledIn ? "tagged"
-                                                           : "virtual");
 }
-BENCHMARK(BM_DispatchVirtualVsTagged)->Arg(0)->Arg(1);
+BENCHMARK(BM_DispatchTagged);
 
 /**
  * Per-flow hot-state layouts (DESIGN.md §17): a hash map of per-flow

@@ -492,7 +492,16 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_datapath.json";
     bool smoke = false;
     bool flow_curve = false;
+    auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [--smoke] [--flow-curve] [--flows N]"
+                     " [--threads N] [--warmup-us N] [--window-us N]"
+                     " [--out FILE]\n",
+                     argv[0]);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
+        bool ok = true;
         if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
             flows = 160;
@@ -500,34 +509,27 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--flow-curve") == 0) {
             flow_curve = true;
         } else if (std::strcmp(argv[i], "--flows") == 0 && i + 1 < argc) {
-            flows = std::strtoull(argv[++i], nullptr, 10);
+            ok = bench::parseCount("--flows", argv[++i], flows, 1);
         } else if (std::strncmp(argv[i], "--flows=", 8) == 0) {
-            flows = std::strtoull(argv[i] + 8, nullptr, 10);
+            ok = bench::parseCount("--flows", argv[i] + 8, flows, 1);
         } else if (std::strcmp(argv[i], "--threads") == 0 &&
                    i + 1 < argc) {
-            threads = std::strtoull(argv[++i], nullptr, 10);
-            if (threads == 0)
-                threads = 1;
+            ok = bench::parseCount("--threads", argv[++i], threads, 1);
         } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-            threads = std::strtoull(argv[i] + 10, nullptr, 10);
-            if (threads == 0)
-                threads = 1;
+            ok = bench::parseCount("--threads", argv[i] + 10, threads, 1);
         } else if (std::strcmp(argv[i], "--warmup-us") == 0 &&
                    i + 1 < argc) {
-            warmup_us = std::strtoull(argv[++i], nullptr, 10);
+            ok = bench::parseCount("--warmup-us", argv[++i], warmup_us, 0);
         } else if (std::strcmp(argv[i], "--window-us") == 0 &&
                    i + 1 < argc) {
-            window_us = std::strtoull(argv[++i], nullptr, 10);
+            ok = bench::parseCount("--window-us", argv[++i], window_us, 1);
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--flow-curve] [--flows N]"
-                         " [--threads N] [--warmup-us N] [--window-us N]"
-                         " [--out FILE]\n",
-                         argv[0]);
-            return 2;
+            ok = false;
         }
+        if (!ok)
+            return usage();
     }
     if (warmup_us == 0) {
         // Connects are issued per thread at connectSpacing intervals

@@ -323,21 +323,27 @@ main(int argc, char **argv)
     sim::Tick window_us = 400;
     std::string out_path = "BENCH_kernel.json";
     std::string only;
+    auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [--smoke] [--window-us N] [--out FILE]"
+                     " [--only event_rate|bulk_transfer]\n",
+                     argv[0]);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
             window_us = 10;
         } else if (std::strcmp(argv[i], "--window-us") == 0 && i + 1 < argc) {
-            window_us = std::strtoull(argv[++i], nullptr, 10);
+            if (!bench::parseCount("--window-us", argv[++i], window_us, 1))
+                return usage();
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
             only = argv[++i];
+            if (only != "event_rate" && only != "bulk_transfer")
+                return usage();
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--window-us N] [--out FILE]"
-                         " [--only SCENARIO]\n",
-                         argv[0]);
-            return 2;
+            return usage();
         }
     }
 

@@ -75,7 +75,6 @@ Fpc::Fpc(sim::Simulation &sim, std::string name, sim::ClockDomain &domain,
                         "single-cycle duplicate-ACK RMW operations")
 {
     f4t_assert(config_.slots > 0, "FPC needs at least one slot");
-    frModule_ = sim::fr::internModule(this->name());
     sim.registerAudit(this, statName("audit"),
                       [this] { auditInvariants(); });
 }
@@ -195,14 +194,7 @@ Fpc::installTcb(const MigratingTcb &incoming)
     lastInstallCycle_ = curCycle();
     installUsedThisWindow_ = true;
     ++swapIns_;
-    sim::fr::record(sim::fr::Kind::fpcInstall, now(), frModule_,
-                    incoming.tcb.flowId, slot_index);
-    F4T_TRACE_CD(Fpc, clock(), "%s: swap-in flow %u -> slot %zu",
-                 name().c_str(), incoming.tcb.flowId, slot_index);
-    if (auto *tl = sim().timeline())
-        tl->instant(name(), "migration",
-                    "swap-in flow " + std::to_string(incoming.tcb.flowId),
-                    now());
+    probe(sim::fr::Kind::fpcInstall, incoming.tcb.flowId, slot_index);
     activate();
 }
 
@@ -432,19 +424,7 @@ Fpc::handleEvent(const tcp::TcpEvent &event, sim::Cycles cycle)
     // moves this event's cost out of fpc_exec into its kind bucket.
     sim::prof::Scope event_scope(profileCategory(event.type));
     ++eventsHandled_;
-    sim::fr::record(recorderKind(event.type), now(), frModule_,
-                    event.flow, cycle);
-    F4T_TRACE_CD(Fpc, clock(), "%s: absorb %s flow=%u", name().c_str(),
-                 tcp::toString(event.type), event.flow);
-    // Per-event timeline instants sit on the hottest loop in the
-    // simulator, so they compile out with the tracepoints.
-    if constexpr (sim::trace::compiledIn) {
-        if (auto *tl = sim().timeline())
-            tl->instant(name(), "event",
-                        std::string(tcp::toString(event.type)) + " flow " +
-                            std::to_string(event.flow),
-                        now());
-    }
+    probe(recorderKind(event.type), event.flow, cycle);
     std::size_t index = cam_.lookup(event.flow);
     lastActiveCycle_[index] = cycle;
 
@@ -508,10 +488,8 @@ Fpc::writeback(FpuJob &job, sim::Cycles cycle)
     tcp::FpuActions actions;
     program_.process(job.merged, nowUs(), actions);
 
-    F4T_TRACE_CD(Fpc, clock(), "%s: writeback flow %u slot %zu%s",
-                 name().c_str(), job.flow, job.slotIndex,
-                 testBit(evictBits_, job.slotIndex) ? " (evict pending)"
-                                                    : "");
+    probe(sim::fr::Kind::fpcWriteback, job.flow, job.slotIndex,
+          testBit(evictBits_, job.slotIndex) ? 1 : 0);
     if constexpr (sim::trace::compiledIn) {
         // One span per FPU pass: issue happened fpuLatency_ cycles ago.
         if (auto *tl = sim().timeline()) {
@@ -586,13 +564,7 @@ Fpc::writeback(FpuJob &job, sim::Cycles cycle)
         recycleSlot(job.slotIndex);
         --pendingEvictions_;
         ++evictions_;
-        sim::fr::record(sim::fr::Kind::fpcEvict, now(), frModule_,
-                        job.flow, job.slotIndex);
-        F4T_TRACE_CD(Fpc, clock(), "%s: evict flow %u toward DRAM",
-                     name().c_str(), job.flow);
-        if (auto *tl = sim().timeline())
-            tl->instant(name(), "migration",
-                        "evict flow " + std::to_string(job.flow), now());
+        probe(sim::fr::Kind::fpcEvict, job.flow, job.slotIndex);
         if (evictSink_)
             evictSink_(std::move(leaving));
     } else {

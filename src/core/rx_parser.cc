@@ -45,20 +45,15 @@ RxParser::processPacket(const net::Packet &pkt)
                         !tcp.hasFlag(TcpFlags::ack);
         if (!pure_syn || !synHandler_) {
             ++packetsDropped_;
-            F4T_TRACE(RxParser, "%s: drop packet for unknown tuple "
-                      "(port %u -> %u)", name().c_str(), tcp.srcPort,
-                      tcp.dstPort);
-            if (auto *tl = sim().timeline())
-                tl->instant(name(), "drop", "unknown tuple", now());
+            probe(sim::fr::Kind::rxDrop, 0, unknownTuple,
+                  sim::fr::pack(tcp.srcPort, tcp.dstPort));
             return;
         }
         flow = synHandler_(tuple, pkt.eth.src);
         if (flow == tcp::invalidFlowId) {
             ++packetsDropped_;
-            F4T_TRACE(RxParser, "%s: SYN rejected (no flow available)",
-                      name().c_str());
-            if (auto *tl = sim().timeline())
-                tl->instant(name(), "drop", "SYN rejected", now());
+            probe(sim::fr::Kind::rxDrop, 0, synRejected,
+                  sim::fr::pack(tcp.srcPort, tcp.dstPort));
             return;
         }
     } else {
@@ -66,9 +61,8 @@ RxParser::processPacket(const net::Packet &pkt)
     }
 
     ++packetsParsed_;
-    F4T_TRACE(RxParser, "%s: parse flow=%u seq=%u ack=%u payload=%zuB",
-              name().c_str(), flow, tcp.seq, tcp.ack,
-              pkt.payload.size());
+    probe(sim::fr::Kind::rxParse, flow, sim::fr::pack(tcp.seq, tcp.ack),
+          pkt.payload.size());
     FlowState &state = flowSlot(flow);
 
     tcp::TcpEvent event;
@@ -113,13 +107,8 @@ RxParser::processPacket(const net::Packet &pkt)
                 accept_lo != state.rcvUpToExt) {
                 // Chunk storage exhausted: drop; retransmission heals.
                 ++packetsDropped_;
-                F4T_TRACE(RxParser,
-                          "%s: flow %u OOO chunk storage full, dropping",
-                          name().c_str(), flow);
-                if (auto *tl = sim().timeline())
-                    tl->instant(name(), "drop",
-                                "ooo overflow flow " + std::to_string(flow),
-                                now());
+                probe(sim::fr::Kind::rxDrop, flow, oooStorageFull,
+                      sim::fr::pack(tcp.srcPort, tcp.dstPort));
             } else {
                 std::size_t skip =
                     static_cast<std::size_t>(accept_lo - seg_start);

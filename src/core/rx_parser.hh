@@ -62,6 +62,14 @@ class RxParser : public sim::SimObject
     using SynHandler = std::function<tcp::FlowId(
         const net::FourTuple &tuple, net::MacAddress peer_mac)>;
 
+    /** Why a packet was dropped (the rx_drop probe's a word). */
+    enum DropReason : std::uint8_t
+    {
+        unknownTuple,   ///< no flow and not a pure SYN (or no SYN handler)
+        synRejected,    ///< SYN with no flow id left to allocate
+        oooStorageFull, ///< out-of-order chunk storage exhausted
+    };
+
     RxParser(sim::Simulation &sim, std::string name,
              FlowLookup &flow_table, const RxParserConfig &config);
 

@@ -14,9 +14,7 @@ PcieModel::PcieModel(sim::Simulation &sim, std::string name,
                 "device-to-host bytes transferred"),
       transactions_(sim.stats(), statName("transactions"),
                     "DMA transactions issued")
-{
-    frModule_ = sim::fr::internModule(this->name());
-}
+{}
 
 sim::Tick
 PcieModel::transfer(std::size_t bytes, sim::Tick &busy_until,
@@ -31,14 +29,11 @@ PcieModel::transfer(std::size_t bytes, sim::Tick &busy_until,
     sim::Tick start = busy_until > now() ? busy_until : now();
     busy_until = start + sim::secondsToTicks(seconds);
     sim::Tick done = busy_until + config_.dmaLatency;
-    sim::fr::record(sim::fr::Kind::pcieDma, now(), frModule_, 0, bytes,
-                    &counter == &d2hBytes_ ? 1 : 0);
-    F4T_TRACE(Pcie, "%s: %s DMA %zuB [%llu..%llu]", name().c_str(), what,
-              bytes, static_cast<unsigned long long>(start),
-              static_cast<unsigned long long>(done));
+    probe(sim::fr::Kind::pcieDma, 0,
+          sim::fr::pack(&counter == &d2hBytes_ ? 1 : 0, bytes), done);
     // The whole transaction is known at issue time, so the span can be
     // emitted up front. Hot under bulk transfers; compiled out with the
-    // tracepoints.
+    // probe text lines.
     if constexpr (sim::trace::compiledIn) {
         if (auto *tl = sim().timeline())
             tl->span(name(), "dma",
@@ -68,12 +63,7 @@ sim::Tick
 PcieModel::mmioDoorbell(sim::SmallFunction on_observed)
 {
     sim::Tick done = now() + config_.mmioLatency;
-    sim::fr::record(sim::fr::Kind::pcieDoorbell, now(), frModule_, 0);
-    F4T_TRACE(Pcie, "%s: MMIO doorbell", name().c_str());
-    if constexpr (sim::trace::compiledIn) {
-        if (auto *tl = sim().timeline())
-            tl->instant(name(), "mmio", "doorbell", now());
-    }
+    probe(sim::fr::Kind::pcieDoorbell, 0);
     if (on_observed)
         queue().scheduleCallback(done, "pcie.doorbell",
                                  std::move(on_observed));

@@ -189,6 +189,15 @@ class DeliveryPort : public sim::SimObject, public DeliveryTarget
 class LinkDirection : public sim::SimObject
 {
   public:
+    /** Injected fault kinds (the link_fault probe's a word). */
+    enum FaultCode : std::uint8_t
+    {
+        scheduledDrop = 1,
+        randomDrop,
+        duplicate,
+        reorder,
+    };
+
     /** Same-simulation form: deliveries land in an owned local port. */
     LinkDirection(sim::Simulation &sim, std::string name,
                   double bandwidth_bits_per_sec,
@@ -255,12 +264,7 @@ class LinkDirection : public sim::SimObject
     static constexpr sim::Tick maxBurstHold = DeliveryPort::maxBurstHold;
 
   private:
-    void noteFault(const char *kind, const Packet &pkt,
-                   std::uint64_t fault_code);
-
     Tap tap_;
-    /** Flight-recorder module id (interned once at construction). */
-    std::uint16_t frModule_ = 0;
     PcapWriter *pcap_ = nullptr;
     const char *pcapLabel_ = "";
     double bandwidth_;

@@ -363,37 +363,6 @@ threadRingSlow()
 
 } // namespace detail
 
-const char *
-toString(Kind kind)
-{
-    switch (kind) {
-    case Kind::none: return "none";
-    case Kind::evDispatch: return "ev_dispatch";
-    case Kind::fpcUserSend: return "fpc_user_send";
-    case Kind::fpcUserRecv: return "fpc_user_recv";
-    case Kind::fpcUserConnect: return "fpc_user_connect";
-    case Kind::fpcUserClose: return "fpc_user_close";
-    case Kind::fpcRxSegment: return "fpc_rx_segment";
-    case Kind::fpcTimeout: return "fpc_timeout";
-    case Kind::fpcInstall: return "fpc_install";
-    case Kind::fpcEvict: return "fpc_evict";
-    case Kind::schedMigrate: return "sched_migrate";
-    case Kind::schedEvict: return "sched_evict";
-    case Kind::linkTx: return "link_tx";
-    case Kind::linkFault: return "link_fault";
-    case Kind::switchEnqueue: return "switch_enqueue";
-    case Kind::switchDrop: return "switch_drop";
-    case Kind::switchForward: return "switch_forward";
-    case Kind::pcieDma: return "pcie_dma";
-    case Kind::pcieDoorbell: return "pcie_doorbell";
-    case Kind::parBarrier: return "par_barrier";
-    case Kind::mailboxSpill: return "mailbox_spill";
-    case Kind::mark: return "mark";
-    case Kind::numKinds: break;
-    }
-    return "unknown";
-}
-
 void
 setEnabled(bool on)
 {
@@ -681,23 +650,28 @@ mergeTimeline(const Snapshot &snap)
 }
 
 std::string
+formatRecord(const Record &rec)
+{
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "%s flow=%08x a=%llu b=%llu",
+                  toString(static_cast<Kind>(rec.kind)), rec.flow,
+                  static_cast<unsigned long long>(rec.a),
+                  static_cast<unsigned long long>(rec.b));
+    return buf;
+}
+
+std::string
 formatEntry(const Snapshot &snap, const TimelineEntry &entry)
 {
     const Record &rec = entry.rec;
     const char *module = rec.module < snap.modules.size()
                              ? snap.modules[rec.module].c_str()
                              : "?";
-    Kind kind = rec.kind < static_cast<std::uint8_t>(Kind::numKinds)
-                    ? static_cast<Kind>(rec.kind)
-                    : Kind::none;
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "@%-14llu t%-3u %-22s %-15s flow=%08x a=%llu b=%llu",
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "@%-14llu t%-3u %-22s ",
                   static_cast<unsigned long long>(rec.tick),
-                  entry.threadId, module, toString(kind), rec.flow,
-                  static_cast<unsigned long long>(rec.a),
-                  static_cast<unsigned long long>(rec.b));
-    return buf;
+                  entry.threadId, module);
+    return buf + formatRecord(rec);
 }
 
 } // namespace f4t::sim::fr

@@ -63,43 +63,151 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sim/trace.hh"
+
 namespace f4t::sim::fr
 {
 
-/** Event kinds. Append only — the dump format stores raw values. */
+/**
+ * Event kinds. Append only — the dump format stores raw values. `flow`
+ * and the payload words a/b are per kind as noted; pack(hi, lo) puts
+ * two 32-bit values in one word.
+ */
 enum class Kind : std::uint8_t
 {
     none = 0,
     evDispatch,    ///< EventQueue::fire; a = event priority, b = seq no
-    fpcUserSend,   ///< Fpc::handleEvent by TcpEventType; a = byte count
+    fpcUserSend,   ///< Fpc absorbs a TcpEvent; a = FPC cycle
     fpcUserRecv,
     fpcUserConnect,
     fpcUserClose,
-    fpcRxSegment,  ///< a = seq, b = payload bytes
+    fpcRxSegment,
     fpcTimeout,
     fpcInstall,    ///< TCB swap-in; a = slot
-    fpcEvict,      ///< TCB writeback/eviction; a = slot
-    schedMigrate,  ///< a = from FPC, b = to FPC
-    schedEvict,    ///< a = FPC
-    linkTx,        ///< serialization accepted; a = wire bytes
-    linkFault,     ///< injected fault; a = FaultKind
+    fpcEvict,      ///< TCB eviction toward DRAM; a = slot
+    schedMigrate,  ///< migration done; a = ticks taken, b = MigrationKind
+    schedEvict,    ///< eviction start; a = from FPC, b = 1 toward DRAM
+    linkTx,        ///< serialization accepted; a = wire bytes, b = ready tick
+    linkFault,     ///< injected fault; a = LinkDirection::FaultCode,
+                   ///< b = added delay ticks (reorder)
     switchEnqueue, ///< a = egress port, b = queued bytes after
-    switchDrop,    ///< shared-pool tail drop; a = egress port
+    switchDrop,    ///< shared-pool tail drop; a = egress port, b = pool bytes
     switchForward, ///< drain to egress; a = egress port, b = bytes
-    pcieDma,       ///< a = bytes, b = direction (0 h2d, 1 d2h)
-    pcieDoorbell,  ///< a = flow doorbell value
+    pcieDma,       ///< a = pack(direction 0 h2d / 1 d2h, bytes), b = done tick
+    pcieDoorbell,  ///< MMIO doorbell
     parBarrier,    ///< window barrier; a = window seq, b = window end tick
     mailboxSpill,  ///< a = spill count delta
-    mark,          ///< explicit marker (dump reasons, test probes)
+    mark,          ///< explicit marker (dump reasons, tests)
+    fpcWriteback,  ///< FPU pass written back; a = slot, b = 1 evict pending
+    schedAllocDram, ///< new flow starts in DRAM (FPCs full)
+    schedRebalance, ///< a = pack(from FPC, its backlog),
+                    ///< b = pack(to FPC, its backlog)
+    schedSwapIn,   ///< DRAM -> FPC swap-in start; a = destination FPC
+    engineAccept,  ///< passive open; a = local port, b = active flows
+    engineConnect, ///< active open; a = pack(remote IPv4, remote port),
+                   ///< b = active flows
+    engineRecycle, ///< flow id freed; a = active flows after
+    mmCacheMiss,   ///< TCB cache miss
+    mmInsert,      ///< TCB parked in DRAM; a = resident TCBs after
+    mmExtract,     ///< TCB leaves DRAM; a = resident TCBs after
+    mmSwapRequest, ///< sendable DRAM flow asks for an FPC
+    rxParse,       ///< a = pack(seq, ack), b = payload bytes
+    rxDrop,        ///< a = RxParser::DropReason, b = pack(src port, dst port)
+    pgSegment,     ///< data segment; a = pack(seq, length), b = 1 FIN
+    pgRetransmit,  ///< as pgSegment, for a retransmission
+    pgControl,     ///< control segment; a = pack(seq, ack)
+    timerFire,     ///< a = TimeoutKind
+    softConnState, ///< flow = conn id; a = old ConnState, b = new
     numKinds
 };
 
-/** Stable lower_snake name for decoder output. */
-const char *toString(Kind kind);
+/** Two 32-bit payload values in one word (hi in the upper half). */
+constexpr std::uint64_t
+pack(std::uint64_t hi, std::uint64_t lo)
+{
+    return (hi << 32) | (lo & 0xffffffffu);
+}
+
+/**
+ * One row per Kind: the decoder's lower_snake name, the trace flag
+ * that selects the kind's probe text line (trace::noFlag: kernel
+ * records, never printed), and its timeline instant category. A null
+ * category keeps per-packet and per-access kinds, and kinds a timeline
+ * span already shows, off the timeline, so its bounded buffer keeps the
+ * rarer moments (faults, timers, migrations) of long runs.
+ */
+struct KindInfo
+{
+    const char *name;
+    trace::Flag flag;
+    const char *category;
+};
+
+inline constexpr KindInfo kindTable[] = {
+    {"none", trace::noFlag, "none"},
+    {"ev_dispatch", trace::noFlag, "kernel"},
+    {"fpc_user_send", trace::Flag::Fpc, "event"},
+    {"fpc_user_recv", trace::Flag::Fpc, "event"},
+    {"fpc_user_connect", trace::Flag::Fpc, "event"},
+    {"fpc_user_close", trace::Flag::Fpc, "event"},
+    {"fpc_rx_segment", trace::Flag::Fpc, "event"},
+    {"fpc_timeout", trace::Flag::Fpc, "event"},
+    {"fpc_install", trace::Flag::Fpc, "migration"},
+    {"fpc_evict", trace::Flag::Fpc, "migration"},
+    {"sched_migrate", trace::Flag::Scheduler, "migration"},
+    {"sched_evict", trace::Flag::Scheduler, "migration"},
+    {"link_tx", trace::Flag::Link, nullptr},
+    {"link_fault", trace::Flag::Link, "fault"},
+    {"switch_enqueue", trace::Flag::Link, nullptr},
+    {"switch_drop", trace::Flag::Link, "drop"},
+    {"switch_forward", trace::Flag::Link, nullptr},
+    {"pcie_dma", trace::Flag::Pcie, nullptr},
+    {"pcie_doorbell", trace::Flag::Pcie, "mmio"},
+    {"par_barrier", trace::noFlag, "kernel"},
+    {"mailbox_spill", trace::noFlag, "kernel"},
+    {"mark", trace::noFlag, "mark"},
+    {"fpc_writeback", trace::Flag::Fpc, nullptr},
+    {"sched_alloc_dram", trace::Flag::Scheduler, "migration"},
+    {"sched_rebalance", trace::Flag::Scheduler, "migration"},
+    {"sched_swap_in", trace::Flag::Scheduler, "migration"},
+    {"engine_accept", trace::Flag::Engine, "flow"},
+    {"engine_connect", trace::Flag::Engine, "flow"},
+    {"engine_recycle", trace::Flag::Engine, "flow"},
+    {"mm_cache_miss", trace::Flag::MemoryManager, nullptr},
+    {"mm_insert", trace::Flag::MemoryManager, "migration"},
+    {"mm_extract", trace::Flag::MemoryManager, "migration"},
+    {"mm_swap_request", trace::Flag::MemoryManager, "migration"},
+    {"rx_parse", trace::Flag::RxParser, nullptr},
+    {"rx_drop", trace::Flag::RxParser, "drop"},
+    {"pg_segment", trace::Flag::PacketGenerator, nullptr},
+    {"pg_retransmit", trace::Flag::PacketGenerator, "retransmit"},
+    {"pg_control", trace::Flag::PacketGenerator, nullptr},
+    {"timer_fire", trace::Flag::Timer, "timer"},
+    {"soft_conn_state", trace::Flag::SoftTcp, "conn"},
+};
+
+static_assert(std::size(kindTable) ==
+                  static_cast<std::size_t>(Kind::numKinds),
+              "every Kind needs a kindTable row");
+
+/** @p kind's table row (kind must be below numKinds). */
+constexpr const KindInfo &
+info(Kind kind)
+{
+    return kindTable[static_cast<std::size_t>(kind)];
+}
+
+/** Stable lower_snake name for decoder output; "unknown" out of range. */
+constexpr const char *
+toString(Kind kind)
+{
+    return kind < Kind::numKinds ? info(kind).name : "unknown";
+}
 
 /** One ring slot. Exactly 32 bytes; written raw into dumps. */
 struct Record
@@ -173,8 +281,9 @@ void setEnabled(bool on);
 
 /**
  * Intern @p name into the module table, returning its stable id.
- * Mutex-guarded cold path — call once at module construction and cache
- * the id. Returns 0 (the "kernel" module) when the table is full.
+ * Mutex-guarded cold path — call once per module and cache the id
+ * (SimObject::probe does so on its first probe). Returns 0 (the
+ * "kernel" module) when the table is full.
  */
 std::uint16_t internModule(std::string_view name);
 
@@ -294,6 +403,12 @@ struct TimelineEntry
 /** Merge all rings into one tick-sorted timeline (stable: ring order
  *  breaks ties, so same-tick records keep their per-thread order). */
 std::vector<TimelineEntry> mergeTimeline(const Snapshot &snap);
+
+/**
+ * "<kind> flow=<hex> a=<a> b=<b>": the record text shared by the
+ * decoder's formatEntry(), probe trace lines and timeline instant names.
+ */
+std::string formatRecord(const Record &rec);
 
 /** Human-readable one-liner for a merged record. */
 std::string formatEntry(const Snapshot &snap, const TimelineEntry &entry);

@@ -14,6 +14,7 @@
 
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
+#include "sim/flight_recorder.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
@@ -261,9 +262,38 @@ class SimObject
         return name_ + "." + leaf;
     }
 
+    /**
+     * Report one moment of this module (DESIGN.md §10) to every sink:
+     * a flight-recorder record (always on), a tick-stamped text line
+     * when @p kind's trace flag is selected (trace builds only), and a
+     * timeline instant when a sink is attached. @p flow and the payload
+     * words @p a / @p b mean what fr::Kind documents for @p kind.
+     */
+    void
+    probe(fr::Kind kind, std::uint32_t flow, std::uint64_t a = 0,
+          std::uint64_t b = 0)
+    {
+        if (frModule_ == notInterned) [[unlikely]]
+            frModule_ = fr::internModule(name_);
+        fr::Record rec{now(), a, b, flow, frModule_,
+                       static_cast<std::uint8_t>(kind), 0};
+        fr::record(kind, rec.tick, rec.module, flow, a, b);
+        if constexpr (trace::compiledIn) {
+            if (trace::enabled(fr::info(kind).flag)) [[unlikely]]
+                trace::detail::emitProbe(name_, rec);
+        }
+        if (trace::TraceEventSink *tl = sim_.timeline()) [[unlikely]]
+            tl->probe(name_, rec);
+    }
+
   private:
+    /** Module ids are interned on the first probe, so objects that
+     *  never probe (per-flow apps) cost nothing to build. */
+    static constexpr std::uint16_t notInterned = 0xffff;
+
     Simulation &sim_;
     std::string name_;
+    std::uint16_t frModule_ = notInterned;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "sim/flight_recorder.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 
@@ -89,31 +90,22 @@ specSelects(const std::string &spec, const std::string &name)
 namespace detail
 {
 
-bool flagState[numFlags] = {};
+bool flagState[numFlags + 1] = {};
 
 void
-emit(Flag flag, const std::string &msg)
+emitProbe(const std::string &module, const fr::Record &rec)
 {
+    const char *flag =
+        toString(fr::info(static_cast<fr::Kind>(rec.kind)).flag);
+    std::string text = fr::formatRecord(rec);
     std::uint64_t tick;
     if (sim::detail::currentSimTick(tick))
-        std::fprintf(out(), "%12llu: %s: %s\n",
-                     static_cast<unsigned long long>(tick), toString(flag),
-                     msg.c_str());
+        std::fprintf(out(), "%12llu: %s: %s %s\n",
+                     static_cast<unsigned long long>(tick), flag,
+                     module.c_str(), text.c_str());
     else
-        std::fprintf(out(), "%12s: %s: %s\n", "-", toString(flag),
-                     msg.c_str());
-}
-
-void
-emitWithClock(Flag flag, const ClockDomain &domain, const std::string &msg)
-{
-    std::uint64_t tick = 0;
-    sim::detail::currentSimTick(tick);
-    std::fprintf(out(), "%12llu: [%s c%llu] %s: %s\n",
-                 static_cast<unsigned long long>(tick),
-                 domain.name().c_str(),
-                 static_cast<unsigned long long>(domain.curCycle()),
-                 toString(flag), msg.c_str());
+        std::fprintf(out(), "%12s: %s: %s %s\n", "-", flag, module.c_str(),
+                     text.c_str());
 }
 
 void
@@ -284,6 +276,14 @@ TraceEventSink::instant(const std::string &track, const char *category,
         return;
     events_.push_back(TraceEvent{'i', trackId(track), category,
                                  std::move(name), at, 0, 0.0});
+}
+
+void
+TraceEventSink::probe(const std::string &track, const fr::Record &rec)
+{
+    if (const char *category =
+            fr::info(static_cast<fr::Kind>(rec.kind)).category)
+        instant(track, category, fr::formatRecord(rec), rec.tick);
 }
 
 void

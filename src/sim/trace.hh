@@ -5,23 +5,24 @@
  *
  * Three complementary views of a run, each zero-cost when unused:
  *
- *  - `F4T_TRACE(Fpc, "absorb %s flow=%u", ...)` — gem5-DPRINTF-style
- *    tracepoints gated by per-module flags. Flags are selected at run
- *    time by name or glob ("Fpc,Sch*", case-insensitive) through the
- *    F4T_TRACE environment variable, trace::setFlags(), or
+ *  - Trace flags select the text lines of SimObject::probe()
+ *    (sim/simulation.hh): each flight-recorder kind names one Flag in
+ *    its kind table row (sim/flight_recorder.hh), and a probe of a
+ *    selected kind prints one tick-stamped line. Flags are selected at
+ *    run time by name or glob ("Fpc,Sch*", case-insensitive) through
+ *    the F4T_TRACE environment variable, trace::setFlags(), or
  *    Simulation::setTraceFlags(); a leading '-' clears matching flags.
- *    Every line is stamped with the current simulation tick, and the
- *    `F4T_TRACE_CD` variant adds a clock domain's name and cycle. The
- *    release preset compiles both macros out (F4T_ENABLE_TRACE=OFF),
- *    exactly like F4T_CHECK, so tracepoints can sit on the hottest
- *    paths without taxing perf_kernel numbers.
+ *    The release preset compiles the text path out
+ *    (F4T_ENABLE_TRACE=OFF), exactly like F4T_CHECK, so probes can sit
+ *    on the hottest paths without taxing perf_kernel numbers.
  *
  *  - TraceEventSink — buffers spans, instants, and counter samples and
  *    writes the Chrome trace-event JSON format (open the file in
- *    Perfetto or chrome://tracing). Modules emit through
- *    `if (auto *tl = sim().timeline()) tl->span(...)`; without a sink
- *    attached the cost is one pointer test, and hot per-event sites
- *    additionally compile out with `if constexpr (trace::compiledIn)`.
+ *    Perfetto or chrome://tracing). A probe becomes an instant in its
+ *    kind's timeline category (per-packet kinds have none); the few
+ *    spans (PCIe DMA, FPU pass, TCB migration, causal stages) go
+ *    through span(). Without a sink attached the cost is one pointer
+ *    test.
  *
  *  - StatSampler — snapshots selected StatRegistry entries (plus
  *    arbitrary probe callbacks, e.g. a connection's cwnd) every N ticks
@@ -51,8 +52,12 @@
 namespace f4t::sim
 {
 
-class ClockDomain;
 class Simulation;
+
+namespace fr
+{
+struct Record;
+} // namespace fr
 
 namespace trace
 {
@@ -82,21 +87,23 @@ enum class Flag : unsigned
 
 constexpr unsigned numFlags = static_cast<unsigned>(Flag::numFlags);
 
+/** The flag of kernel-level record kinds: never selected, so their
+ *  probes print no text line. */
+constexpr Flag noFlag = Flag::numFlags;
+
 const char *toString(Flag flag);
 
 namespace detail
 {
 
 /* Always defined (not just under F4T_ENABLE_TRACE) so the flag API is
- * callable from any build; without the macro compiled in the state is
- * simply never consulted. */
-extern bool flagState[numFlags];
+ * callable from any build; without the text path compiled in the
+ * state is simply never consulted. The extra slot backs noFlag and is
+ * never set. */
+extern bool flagState[numFlags + 1];
 
-/** Emit one already-formatted trace line, stamped with the current tick. */
-void emit(Flag flag, const std::string &msg);
-/** As emit(), additionally stamped with @p domain's name and cycle. */
-void emitWithClock(Flag flag, const ClockDomain &domain,
-                   const std::string &msg);
+/** Print a probe's text line, stamped with the current tick. */
+void emitProbe(const std::string &module, const fr::Record &rec);
 
 void notifySimulationCreated(Simulation &sim);
 void notifySimulationDestroyed(Simulation &sim);
@@ -167,6 +174,10 @@ class TraceEventSink
     /** Instantaneous event ("i" phase). */
     void instant(const std::string &track, const char *category,
                  std::string name, Tick at);
+
+    /** A probe's instant: the kind's category, the record text as the
+     *  name, at the record's tick; nothing for uncategorized kinds. */
+    void probe(const std::string &track, const fr::Record &rec);
 
     /** Counter sample ("C" phase); series named @p name. */
     void counter(const std::string &track, std::string name, Tick at,
@@ -271,37 +282,5 @@ class StatSampler
 } // namespace trace
 
 } // namespace f4t::sim
-
-#ifdef F4T_ENABLE_TRACE
-#define F4T_TRACE(flag, ...)                                              \
-    do {                                                                  \
-        if (::f4t::sim::trace::enabled(::f4t::sim::trace::Flag::flag))    \
-            ::f4t::sim::trace::detail::emit(                              \
-                ::f4t::sim::trace::Flag::flag,                            \
-                ::f4t::sim::detail::format(__VA_ARGS__));                 \
-    } while (0)
-#define F4T_TRACE_CD(flag, domain, ...)                                   \
-    do {                                                                  \
-        if (::f4t::sim::trace::enabled(::f4t::sim::trace::Flag::flag))    \
-            ::f4t::sim::trace::detail::emitWithClock(                     \
-                ::f4t::sim::trace::Flag::flag, (domain),                  \
-                ::f4t::sim::detail::format(__VA_ARGS__));                 \
-    } while (0)
-#else
-/* The dead branch keeps the operands type-checked and "used" (no
- * -Wunused in trace-off builds) while the optimizer deletes the call. */
-#define F4T_TRACE(flag, ...)                                \
-    do {                                                    \
-        if (false)                                          \
-            (void)::f4t::sim::detail::format(__VA_ARGS__);  \
-    } while (0)
-#define F4T_TRACE_CD(flag, domain, ...)                     \
-    do {                                                    \
-        if (false) {                                        \
-            (void)(domain);                                 \
-            (void)::f4t::sim::detail::format(__VA_ARGS__);  \
-        }                                                   \
-    } while (0)
-#endif
 
 #endif // F4T_SIM_TRACE_HH

@@ -8,60 +8,14 @@
  * 1000, 50), each as a full three-world differential run, and exits
  * nonzero on the first divergence or oracle violation. The failure
  * report names the seed; replay it with `fuzz_sweep <seed> 1`.
- *
- * `--dispatch` switches to the tagged-vs-virtual dispatch twin mode
- * (the rotating-window extension of tests/fuzz/
- * test_dispatch_differential): each seed runs the engine-pair world
- * once per dispatch path and the two runs must be the same
- * computation — equal ledger digests, delivered bytes, event counts,
- * and final ticks. In a -DF4T_TAGGED_DISPATCH=OFF build the runtime
- * toggle clamps, both twins run virtual, and the sweep degenerates to
- * a reproducibility check — which is exactly what keeps the
- * escape-hatch build meaningful in CI.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-
-#include "sim/event_queue.hh"
 
 #include "bench_util.hh"
 #include "fuzz_runner.hh"
-
-namespace
-{
-
-/** One tagged-vs-virtual twin run; empty string = seed passed. */
-std::string
-runDispatchTwin(std::uint64_t seed)
-{
-    using namespace f4t::fuzz;
-    Scenario sc = Scenario::fromSeed(seed);
-    const bool saved = f4t::sim::taggedDispatchEnabled();
-    f4t::sim::setTaggedDispatch(true);
-    RunResult tagged = runScenario(WorldKind::enginePair, sc);
-    f4t::sim::setTaggedDispatch(false);
-    RunResult virt = runScenario(WorldKind::enginePair, sc);
-    f4t::sim::setTaggedDispatch(saved);
-
-    if (!tagged.ok())
-        return "tagged run failed:\n" + tagged.failureReport;
-    if (!virt.ok())
-        return "virtual run failed:\n" + virt.failureReport;
-    if (tagged.ledgerDigest != virt.ledgerDigest)
-        return "ledger digest diverged across dispatch paths\n  " +
-               sc.describe();
-    if (tagged.deliveredBytes != virt.deliveredBytes ||
-        tagged.eventsProcessed != virt.eventsProcessed ||
-        tagged.finalTick != virt.finalTick)
-        return "kernel fingerprint diverged across dispatch paths\n  " +
-               sc.describe();
-    return {};
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -71,24 +25,19 @@ main(int argc, char **argv)
 
     std::uint64_t first = 1000;
     std::uint64_t count = 50;
-    bool dispatch_mode = false;
     int pos = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--dispatch") == 0)
-            dispatch_mode = true;
-        else if (pos == 0)
+        if (pos == 0)
             first = std::strtoull(argv[i], nullptr, 0), ++pos;
         else
             count = std::strtoull(argv[i], nullptr, 0), ++pos;
     }
 
-    std::printf("fuzz_sweep%s: seeds [%llu, %llu)\n",
-                dispatch_mode ? " (dispatch twins)" : "",
+    std::printf("fuzz_sweep: seeds [%llu, %llu)\n",
                 static_cast<unsigned long long>(first),
                 static_cast<unsigned long long>(first + count));
     for (std::uint64_t seed = first; seed < first + count; ++seed) {
-        std::string report = dispatch_mode ? runDispatchTwin(seed)
-                                           : runDifferential(seed);
+        std::string report = runDifferential(seed);
         if (!report.empty()) {
             std::printf("FAIL seed %llu\n%s\n",
                         static_cast<unsigned long long>(seed),
@@ -102,10 +51,7 @@ main(int argc, char **argv)
                 std::printf("replaying with capture -> %s.*\n",
                             prefix.c_str());
                 f4t::bench::Obs::capturePrefix(prefix);
-                if (dispatch_mode)
-                    runDispatchTwin(seed);
-                else
-                    runDifferential(seed);
+                runDifferential(seed);
             }
             return 1;
         }

@@ -10,7 +10,9 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "net/link.hh"
 #include "net/packet.hh"
 #include "net/pcap_writer.hh"
+#include "sim/flight_recorder.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -73,8 +76,8 @@ TEST(TraceFlags, SetFlagsSelectsAndNegates)
 
     std::size_t changed = sim::trace::setFlags("fpc,scheduler");
     if (!sim::trace::compiledIn) {
-        // Flag state is maintained even when the macros are compiled
-        // out, so the selection still registers.
+        // Flag state is maintained even when the text path is
+        // compiled out, so the selection still registers.
         EXPECT_EQ(changed, 2u);
         sim::trace::clearFlags();
         return;
@@ -111,7 +114,7 @@ TEST(TraceFlags, UnknownPatternChangesNothing)
 TEST(TraceFlags, EmittedLinesAreTickStamped)
 {
     if (!sim::trace::compiledIn)
-        GTEST_SKIP() << "tracepoints compiled out";
+        GTEST_SKIP() << "probe text lines compiled out";
 
     std::string path = tempPath("f4t_trace_lines.txt");
     std::FILE *out = std::fopen(path.c_str(), "w+");
@@ -121,12 +124,16 @@ TEST(TraceFlags, EmittedLinesAreTickStamped)
 
     {
         sim::Simulation sim;
-        sim.queue().scheduleCallback(1234, "test.emit", [] {
-            F4T_TRACE(Fpc, "hello %d", 7);
+        sim::SimObject fpc(sim, "test.fpc");
+        sim.queue().scheduleCallback(1234, "test.emit", [&fpc] {
+            fpc.probe(sim::fr::Kind::fpcInstall, 7, 3);
         });
         sim.runFor(5000);
+        // A thread with no current simulation stamps '-'.
+        std::thread([&fpc] {
+            fpc.probe(sim::fr::Kind::fpcEvict, 7);
+        }).join();
     }
-    F4T_TRACE(Fpc, "no sim");
 
     sim::trace::setOutput(nullptr);
     std::fclose(out);
@@ -134,8 +141,123 @@ TEST(TraceFlags, EmittedLinesAreTickStamped)
 
     std::string text = slurp(path);
     // In-simulation lines carry the firing tick; outside they carry '-'.
-    EXPECT_NE(text.find("1234: Fpc: hello 7"), std::string::npos) << text;
-    EXPECT_NE(text.find("-: Fpc: no sim"), std::string::npos) << text;
+    EXPECT_NE(text.find("1234: Fpc: test.fpc fpc_install flow=00000007 "
+                        "a=3 b=0"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("-: Fpc: test.fpc fpc_evict flow=00000007"),
+              std::string::npos)
+        << text;
+}
+
+// ---------------------------------------------------------------------
+// SimObject::probe: one call feeds ring, text trace and timeline
+// ---------------------------------------------------------------------
+
+/** Flight-recorder records (all rings) written by module @p name. */
+std::vector<sim::fr::Record>
+ringRecordsOf(const std::string &name)
+{
+    sim::fr::Snapshot snap = sim::fr::snapshot();
+    std::vector<sim::fr::Record> found;
+    for (const auto &ring : snap.rings) {
+        for (const sim::fr::Record &rec : ring.records) {
+            if (rec.module < snap.modules.size() &&
+                snap.modules[rec.module] == name)
+                found.push_back(rec);
+        }
+    }
+    return found;
+}
+
+/** Probe one timer_fire at tick 1234, with the Timer flag selected
+ *  when @p flag_on; returns the text printed and fills @p json with
+ *  the timeline. */
+std::string
+probeOnce(const std::string &module, bool flag_on, std::string &json)
+{
+    std::string path = tempPath("f4t_probe_lines.txt");
+    std::FILE *out = std::fopen(path.c_str(), "w+");
+    EXPECT_NE(out, nullptr);
+    sim::trace::setOutput(out);
+    sim::fr::clear();
+    sim::trace::clearFlags();
+    if (flag_on)
+        sim::trace::setFlags("timer");
+    {
+        sim::Simulation sim;
+        sim::trace::TraceEventSink sink;
+        sim.setTimeline(&sink);
+        sim::SimObject timer(sim, module);
+        sim.queue().scheduleCallback(1234, "test.probe", [&timer] {
+            timer.probe(sim::fr::Kind::timerFire, 42, 3, 0x100000002ULL);
+        });
+        sim.runFor(5000);
+        EXPECT_EQ(sink.eventCount(), 1u);
+        std::stringstream ss;
+        sink.write(ss);
+        json = ss.str();
+    }
+    sim::trace::setOutput(nullptr);
+    std::fclose(out);
+    sim::trace::clearFlags();
+    return slurp(path);
+}
+
+TEST(Probe, FeedsRingTextAndTimeline)
+{
+    std::string json;
+    std::string text = probeOnce("test.probe.on", true, json);
+
+    std::vector<sim::fr::Record> recs = ringRecordsOf("test.probe.on");
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].kind,
+              static_cast<std::uint8_t>(sim::fr::Kind::timerFire));
+    EXPECT_EQ(recs[0].tick, 1234u);
+    EXPECT_EQ(recs[0].flow, 42u);
+    EXPECT_EQ(recs[0].a, 3u);
+    EXPECT_EQ(recs[0].b, 0x100000002ULL);
+
+    // One instant in the kind's category, named by the record text.
+    EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"cat\":\"timer\""), std::string::npos) << json;
+    EXPECT_NE(json.find("timer_fire flow=0000002a a=3 b=4294967298"),
+              std::string::npos)
+        << json;
+
+    if (!sim::trace::compiledIn)
+        GTEST_SKIP() << "probe text lines compiled out";
+    EXPECT_EQ(text, "        1234: Timer: test.probe.on timer_fire "
+                    "flow=0000002a a=3 b=4294967298\n");
+}
+
+TEST(Probe, FlagOffPrintsNoText)
+{
+    std::string json;
+    std::string text = probeOnce("test.probe.off", false, json);
+    EXPECT_EQ(text, "");
+    // Ring and timeline do not depend on the flag.
+    EXPECT_EQ(ringRecordsOf("test.probe.off").size(), 1u);
+    EXPECT_NE(json.find("\"cat\":\"timer\""), std::string::npos) << json;
+}
+
+TEST(Probe, EveryKindHasATableRow)
+{
+    constexpr auto numKinds =
+        static_cast<std::uint8_t>(sim::fr::Kind::numKinds);
+    std::set<std::string> names;
+    for (std::uint8_t k = 1; k < numKinds; ++k) {
+        const sim::fr::KindInfo &row =
+            sim::fr::info(static_cast<sim::fr::Kind>(k));
+        ASSERT_NE(row.name, nullptr) << "kind " << int(k);
+        EXPECT_TRUE(names.insert(row.name).second) << row.name;
+        sim::fr::Record rec{};
+        rec.kind = k;
+        EXPECT_EQ(sim::fr::formatRecord(rec).find("unknown"),
+                  std::string::npos)
+            << "kind " << int(k);
+    }
+    EXPECT_STREQ(sim::fr::toString(sim::fr::Kind::numKinds), "unknown");
 }
 
 // ---------------------------------------------------------------------

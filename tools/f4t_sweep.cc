@@ -32,6 +32,7 @@
 #include "apps/testbed.hh"
 #include "apps/testbed_parallel.hh"
 #include "apps/workloads.hh"
+#include "bench_util.hh"
 #include "net/link.hh"
 #include "sim/simulation.hh"
 
@@ -254,20 +255,24 @@ main(int argc, char **argv)
     std::string out_path = "SWEEP_datapath.json";
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
+        bool ok = true;
         if (std::strcmp(argv[i], "--quick") == 0) {
             quick = true;
             flows = 160;
             window_us = 20;
         } else if (std::strcmp(argv[i], "--flows") == 0 && i + 1 < argc) {
-            flows = std::strtoull(argv[++i], nullptr, 10);
+            ok = bench::parseCount("--flows", argv[++i], flows, 1);
         } else if (std::strncmp(argv[i], "--flows=", 8) == 0) {
-            flows = std::strtoull(argv[i] + 8, nullptr, 10);
+            ok = bench::parseCount("--flows", argv[i] + 8, flows, 1);
         } else if (std::strcmp(argv[i], "--window-us") == 0 &&
                    i + 1 < argc) {
-            window_us = std::strtoull(argv[++i], nullptr, 10);
+            ok = bench::parseCount("--window-us", argv[++i], window_us, 1);
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
         } else {
+            ok = false;
+        }
+        if (!ok) {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--flows N] [--window-us N]"
                          " [--out FILE]\n",
