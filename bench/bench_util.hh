@@ -14,6 +14,7 @@
 #ifndef F4T_BENCH_BENCH_UTIL_HH
 #define F4T_BENCH_BENCH_UTIL_HH
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -132,23 +133,33 @@ mrps(std::uint64_t count, sim::Tick window)
 }
 
 /**
- * Strict unsigned CLI value for @p flag: decimal digits only, no
- * trailing junk, no overflow, and at least @p min. On a bad value it
- * says why on stderr and returns false, so the caller exits 2 with its
- * usage line instead of silently running with 0.
+ * Strict unsigned CLI value for @p flag: decimal digits only (or, with
+ * @p hex, also a 0x-prefixed hex number), no trailing junk, no
+ * overflow, and at least @p min. On a bad value it says why on stderr
+ * and returns false, so the caller exits 2 with its usage line instead
+ * of silently running with 0.
  */
 template <typename T>
 bool
-parseCount(const char *flag, const char *text, T &out, std::uint64_t min)
+parseCount(const char *flag, const char *text, T &out, std::uint64_t min,
+           bool hex = false)
 {
+    int base = 10;
+    const char *digits = text;
+    if (hex && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+        base = 16;
+        digits = text + 2;
+    }
     char *end = nullptr;
     errno = 0;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno != 0 ||
+    unsigned long long value = std::strtoull(digits, &end, base);
+    if (!std::isxdigit(static_cast<unsigned char>(digits[0])) ||
+        end == digits || *end != '\0' || errno != 0 ||
         value > std::numeric_limits<T>::max() || value < min) {
         std::fprintf(stderr,
-                     "%s: invalid value '%s' (want an integer >= %llu)\n",
-                     flag, text, static_cast<unsigned long long>(min));
+                     "%s: invalid value '%s' (want an integer >= %llu%s)\n",
+                     flag, text, static_cast<unsigned long long>(min),
+                     hex ? ", decimal or 0x hex" : "");
         return false;
     }
     out = static_cast<T>(value);

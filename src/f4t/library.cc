@@ -15,20 +15,51 @@ F4tLibrary::F4tLibrary(F4tRuntime &runtime, std::size_t queue,
         &core_);
 }
 
+bool
+F4tLibrary::isOpen(SockFd fd) const
+{
+    return fd >= 0 && static_cast<std::size_t>(fd) < sockets_.size() &&
+           sockets_[static_cast<std::size_t>(fd)].open;
+}
+
 F4tLibrary::Socket &
 F4tLibrary::get(SockFd fd)
 {
-    auto it = sockets_.find(fd);
-    f4t_assert(it != sockets_.end(), "unknown socket fd %d", fd);
-    return it->second;
+    f4t_assert(isOpen(fd), "unknown socket fd %d", fd);
+    return sockets_[static_cast<std::size_t>(fd)];
 }
 
 const F4tLibrary::Socket &
 F4tLibrary::get(SockFd fd) const
 {
-    auto it = sockets_.find(fd);
-    f4t_assert(it != sockets_.end(), "unknown socket fd %d", fd);
-    return it->second;
+    f4t_assert(isOpen(fd), "unknown socket fd %d", fd);
+    return sockets_[static_cast<std::size_t>(fd)];
+}
+
+F4tLibrary::Socket &
+F4tLibrary::open(SockFd fd)
+{
+    auto index = static_cast<std::size_t>(fd);
+    if (index >= sockets_.size())
+        sockets_.resize(index + 1);
+    Socket &sock = sockets_[index];
+    sock = Socket{};
+    sock.open = true;
+    return sock;
+}
+
+void
+F4tLibrary::bind(tcp::FlowId flow, SockFd fd)
+{
+    if (flow >= byFlow_.size())
+        byFlow_.resize(static_cast<std::size_t>(flow) + 1, invalidFd);
+    byFlow_[flow] = fd;
+}
+
+SockFd
+F4tLibrary::fdFor(tcp::FlowId flow) const
+{
+    return flow < byFlow_.size() ? byFlow_[flow] : invalidFd;
 }
 
 host::FlowBuffers *
@@ -65,7 +96,7 @@ F4tLibrary::connect(net::Ipv4Address ip, std::uint16_t port)
     core_.charge(tcp::CostCategory::f4tLibrary,
                  host::F4tCosts::libraryCall);
     SockFd fd = nextFd_++;
-    sockets_.emplace(fd, Socket{});
+    open(fd);
     std::uint16_t cookie = static_cast<std::uint16_t>(fd);
     pendingConnects_[cookie] = fd;
 
@@ -162,8 +193,7 @@ F4tLibrary::writable(SockFd fd) const
 bool
 F4tLibrary::established(SockFd fd) const
 {
-    auto it = sockets_.find(fd);
-    return it != sockets_.end() && it->second.established;
+    return isOpen(fd) && get(fd).established;
 }
 
 void
@@ -173,7 +203,7 @@ F4tLibrary::close(SockFd fd)
                  host::F4tCosts::libraryCall);
     Socket &sock = get(fd);
     if (sock.flow == tcp::invalidFlowId) {
-        sockets_.erase(fd);
+        sock = Socket{};
         return;
     }
     host::Command cmd;
@@ -196,7 +226,7 @@ F4tLibrary::handleCompletion(const host::Command &command)
         Socket &sock = get(fd);
         sock.flow = command.flow;
         sock.established = true;
-        byFlow_[command.flow] = fd;
+        bind(command.flow, fd);
         runtime_.memory().ensure(command.flow);
         if (callbacks_.onConnected)
             callbacks_.onConnected(fd);
@@ -204,11 +234,10 @@ F4tLibrary::handleCompletion(const host::Command &command)
       }
       case host::CmdOp::accepted: {
         SockFd fd = nextFd_++;
-        Socket sock;
+        Socket &sock = open(fd);
         sock.flow = command.flow;
         sock.established = true;
-        sockets_.emplace(fd, sock);
-        byFlow_[command.flow] = fd;
+        bind(command.flow, fd);
         runtime_.memory().ensure(command.flow);
         if (callbacks_.onAccepted) {
             callbacks_.onAccepted(
@@ -220,10 +249,9 @@ F4tLibrary::handleCompletion(const host::Command &command)
         break;
     }
 
-    auto it = byFlow_.find(command.flow);
-    if (it == byFlow_.end())
+    SockFd fd = fdFor(command.flow);
+    if (fd == invalidFd)
         return; // late completion for a closed socket
-    SockFd fd = it->second;
     Socket &sock = get(fd);
 
     switch (command.op) {
@@ -272,8 +300,8 @@ F4tLibrary::handleCompletion(const host::Command &command)
       case host::CmdOp::reset: {
         bool reset = command.op == host::CmdOp::reset;
         tcp::FlowId flow = sock.flow;
-        byFlow_.erase(flow);
-        sockets_.erase(fd);
+        bind(flow, invalidFd);
+        sock = Socket{};
         runtime_.releaseFlowMemory(flow);
         if (reset) {
             if (callbacks_.onReset)
@@ -292,15 +320,15 @@ F4tEpoll::F4tEpoll(F4tLibrary &library) : library_(library)
 {
     F4tCallbacks callbacks;
     callbacks.onReadable = [this](SockFd fd, std::size_t) {
-        if (interest_.count(fd))
+        if (interested(fd))
             push(Event{fd, true, false, false});
     };
     callbacks.onWritable = [this](SockFd fd) {
-        if (interest_.count(fd))
+        if (interested(fd))
             push(Event{fd, false, true, false});
     };
     callbacks.onPeerClosed = [this](SockFd fd) {
-        if (interest_.count(fd))
+        if (interested(fd))
             push(Event{fd, false, false, true});
     };
     library_.setCallbacks(callbacks);
@@ -309,7 +337,10 @@ F4tEpoll::F4tEpoll(F4tLibrary &library) : library_(library)
 void
 F4tEpoll::add(SockFd fd)
 {
-    interest_[fd] = true;
+    auto index = static_cast<std::size_t>(fd);
+    if (index >= interest_.size())
+        interest_.resize(index + 1, false);
+    interest_[index] = true;
 }
 
 void

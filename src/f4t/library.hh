@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <vector>
 
 #include "f4t/runtime.hh"
 
@@ -98,6 +99,7 @@ class F4tLibrary
   private:
     struct Socket
     {
+        bool open = false;
         tcp::FlowId flow = tcp::invalidFlowId;
         bool established = false;
         bool peerClosed = false;
@@ -109,6 +111,12 @@ class F4tLibrary
     };
 
     void handleCompletion(const host::Command &command);
+    bool isOpen(SockFd fd) const;
+    /** Create the socket for a freshly allocated @p fd. */
+    Socket &open(SockFd fd);
+    /** Route @p flow's completions to @p fd (invalidFd: nowhere). */
+    void bind(tcp::FlowId flow, SockFd fd);
+    SockFd fdFor(tcp::FlowId flow) const;
     Socket &get(SockFd fd);
     const Socket &get(SockFd fd) const;
     host::FlowBuffers *buffers(const Socket &sock) const;
@@ -120,9 +128,11 @@ class F4tLibrary
     host::CpuCore &core_;
     F4tCallbacks callbacks_;
 
-    std::map<SockFd, Socket> sockets_;
+    // Dense tables: fds and FlowIds are small integers. fds are never
+    // reused, so a closed fd's slot simply stays closed.
+    std::vector<Socket> sockets_;                     ///< by fd
     std::map<std::uint16_t, SockFd> pendingConnects_; ///< cookie -> fd
-    std::map<tcp::FlowId, SockFd> byFlow_;
+    std::vector<SockFd> byFlow_;                      ///< by FlowId
     SockFd nextFd_ = 3;
 
     std::uint64_t bytesSent_ = 0;
@@ -156,8 +166,14 @@ class F4tEpoll
   private:
     void push(const Event &event);
 
+    bool interested(SockFd fd) const
+    {
+        return static_cast<std::size_t>(fd) < interest_.size() &&
+               interest_[static_cast<std::size_t>(fd)];
+    }
+
     F4tLibrary &library_;
-    std::map<SockFd, bool> interest_;
+    std::vector<bool> interest_; ///< by fd
     std::vector<Event> ready_;
 };
 

@@ -14,9 +14,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "net/byte_ring.hh"
+#include "sim/logging.hh"
 #include "tcp/tcb.hh"
 
 namespace f4t::host
@@ -46,30 +47,39 @@ class HostMemory
     FlowBuffers &
     ensure(tcp::FlowId flow)
     {
-        auto it = flows_.find(flow);
-        if (it == flows_.end()) {
-            it = flows_
-                     .emplace(flow, std::make_unique<FlowBuffers>(
-                                        bufferBytes_, bufferBytes_))
-                     .first;
+        f4t_assert(flow != tcp::invalidFlowId, "buffers for invalid flow");
+        if (flow >= flows_.size())
+            flows_.resize(static_cast<std::size_t>(flow) + 1);
+        std::unique_ptr<FlowBuffers> &slot = flows_[flow];
+        if (!slot) {
+            slot = std::make_unique<FlowBuffers>(bufferBytes_, bufferBytes_);
+            ++liveFlows_;
         }
-        return *it->second;
+        return *slot;
     }
 
     FlowBuffers *
     find(tcp::FlowId flow)
     {
-        auto it = flows_.find(flow);
-        return it == flows_.end() ? nullptr : it->second.get();
+        return flow < flows_.size() ? flows_[flow].get() : nullptr;
     }
 
-    void release(tcp::FlowId flow) { flows_.erase(flow); }
+    void
+    release(tcp::FlowId flow)
+    {
+        if (flow < flows_.size() && flows_[flow]) {
+            flows_[flow].reset();
+            --liveFlows_;
+        }
+    }
 
-    std::size_t flowCount() const { return flows_.size(); }
+    std::size_t flowCount() const { return liveFlows_; }
 
   private:
     std::size_t bufferBytes_;
-    std::unordered_map<tcp::FlowId, std::unique_ptr<FlowBuffers>> flows_;
+    /** Indexed by FlowId (dense per engine); null = no buffers. */
+    std::vector<std::unique_ptr<FlowBuffers>> flows_;
+    std::size_t liveFlows_ = 0;
 };
 
 } // namespace f4t::host

@@ -283,54 +283,30 @@ EventQueue::deschedule(Event *ev)
 }
 
 void
-EventQueue::forget(Event *ev)
+EventQueue::purge(std::span<Event *const> events)
 {
-    deschedule(ev);
-
-    // Purge every squashed entry still naming the event. This runs
-    // only from ~Event — object teardown, never the hot path — so a
-    // full container sweep is acceptable.
-    for (std::size_t word = 0; word < bitsWords; ++word) {
-        std::uint64_t w = bits_[word];
-        while (w != 0) {
-            std::size_t b = (word << 6) + std::countr_zero(w);
-            w &= w - 1;
-            Node **link = &buckets_[b];
-            Node *last = nullptr;
-            while (Node *n = *link) {
-                if (n->event != ev) {
-                    last = n;
-                    link = &n->next;
-                    continue;
-                }
-                *link = n->next;
-                --ladderNodes_;
-                droppedDead(ev);
-                releaseNode(n);
-            }
-            tails_[b] = last;
-            if (buckets_[b] == nullptr)
-                clearBit(b);
-        }
+    // Deschedule the whole set first: every container entry naming one
+    // of these events is then squashed, so a single compaction sweep
+    // drops them all. Teardown of N events therefore costs one pass
+    // over the containers, not N. Events that no entry here names
+    // (never scheduled, detached, or on another queue) are skipped.
+    bool stale = false;
+    for (Event *ev : events) {
+        if (ev->queue_ != this)
+            continue;
+        deschedule(ev);
+        stale = stale || ev->staleEntries_ > 0;
     }
-
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-        if (heap_[i].event != ev) {
-            heap_[kept++] = heap_[i];
-        } else {
-            droppedDead(ev);
-        }
+    if (stale)
+        compact();
+    for (Event *ev : events) {
+        if (ev->queue_ != this)
+            continue;
+        f4t_assert(ev->staleEntries_ == 0,
+                   "purge left %u stale entries for event '%s'",
+                   ev->staleEntries_, ev->description().c_str());
+        ev->queue_ = nullptr;
     }
-    if (kept != heap_.size()) {
-        heap_.resize(kept);
-        std::make_heap(heap_.begin(), heap_.end(), HeapCompare{});
-    }
-
-    f4t_assert(ev->staleEntries_ == 0,
-               "forget left %u stale entries for event '%s'",
-               ev->staleEntries_, ev->description().c_str());
-    ev->queue_ = nullptr;
     checkAccounting();
 }
 

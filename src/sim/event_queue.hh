@@ -42,6 +42,8 @@
  * may still be referenced by a squashed entry. ~Event therefore calls
  * forget(), which purges every entry naming the event — an Event may
  * be destroyed at any time without leaving a dangling pointer behind.
+ * Owners of many events purge() them as a set first, so teardown
+ * sweeps the containers once instead of once per event.
  * The queue itself must outlive any event that was ever scheduled on
  * it; in practice, make events members of modules that live no longer
  * than the Simulation (the usual gem5 convention).
@@ -52,6 +54,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -204,11 +207,17 @@ class EventQueue
     void deschedule(Event *ev);
 
     /**
-     * Deschedule and purge every container entry naming @p ev, live
-     * or squashed, so no dangling pointer survives the event's
-     * destruction. Called by ~Event; O(containers), teardown-only.
+     * Deschedule every event in @p events and purge each container
+     * entry naming one of them, live or squashed, so no dangling
+     * pointer survives their destruction. One sweep over the
+     * containers serves the whole set (owners of many events, such as
+     * the timer wheel, purge them together on teardown). Events this
+     * queue does not hold are ignored.
      */
-    void forget(Event *ev);
+    void purge(std::span<Event *const> events);
+
+    /** purge() for one event; called by ~Event. */
+    void forget(Event *ev) { purge({&ev, 1}); }
 
     /** Deschedule if needed and schedule at the new time. */
     void reschedule(Event *ev, Tick when);

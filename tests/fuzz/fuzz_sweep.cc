@@ -5,13 +5,13 @@
  *   fuzz_sweep [first_seed] [count]
  *
  * Runs `count` consecutive seeds starting at `first_seed` (defaults:
- * 1000, 50), each as a full three-world differential run, and exits
+ * 1000, 50; decimal or 0x hex, anything else prints the usage line
+ * and exits 2), each as a full three-world differential run, and exits
  * nonzero on the first divergence or oracle violation. The failure
  * report names the seed; replay it with `fuzz_sweep <seed> 1`.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_util.hh"
@@ -25,12 +25,15 @@ main(int argc, char **argv)
 
     std::uint64_t first = 1000;
     std::uint64_t count = 50;
-    int pos = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (pos == 0)
-            first = std::strtoull(argv[i], nullptr, 0), ++pos;
-        else
-            count = std::strtoull(argv[i], nullptr, 0), ++pos;
+    bool ok = argc <= 3;
+    if (ok && argc > 1)
+        ok = f4t::bench::parseCount("first_seed", argv[1], first, 0, true);
+    if (ok && argc > 2)
+        ok = f4t::bench::parseCount("count", argv[2], count, 1, true);
+    if (!ok) {
+        std::fprintf(stderr, "usage: fuzz_sweep [first_seed] [count] "
+                             "(decimal or 0x hex)\n");
+        return 2;
     }
 
     std::printf("fuzz_sweep: seeds [%llu, %llu)\n",

@@ -2,11 +2,16 @@
  * @file
  * Tests for the host and memory substrates: CPU cycle accounting,
  * PCIe bandwidth/latency, command rings, host TCP buffers, the BRAM
- * port budget, the DRAM channel, and the direct-mapped TCB cache.
+ * port budget, the DRAM channel, the direct-mapped TCB cache, and the
+ * F4T library's fd/FlowId routing tables.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "f4t/library.hh"
+#include "harness.hh"
 #include "host/command_queue.hh"
 #include "host/cpu.hh"
 #include "host/host_memory.hh"
@@ -108,6 +113,131 @@ TEST(HostMemory, FlowBuffersLifecycle)
     EXPECT_EQ(&memory.ensure(5), &buffers);
     memory.release(5);
     EXPECT_EQ(memory.find(5), nullptr);
+}
+
+TEST(HostMemory, SparseFlowIds)
+{
+    host::HostMemory memory(256);
+    EXPECT_EQ(memory.find(40000), nullptr);
+    EXPECT_EQ(memory.find(tcp::invalidFlowId), nullptr);
+    host::FlowBuffers &high = memory.ensure(40000);
+    host::FlowBuffers &low = memory.ensure(2);
+    EXPECT_EQ(memory.flowCount(), 2u);
+    EXPECT_EQ(memory.find(40000), &high);
+    EXPECT_EQ(memory.find(2), &low);
+    EXPECT_EQ(memory.find(3), nullptr);
+    EXPECT_EQ(memory.find(39999), nullptr);
+
+    memory.release(40000);
+    memory.release(40000); // releasing twice is harmless
+    memory.release(7);     // as is releasing a flow never seen
+    EXPECT_EQ(memory.flowCount(), 1u);
+    EXPECT_EQ(memory.find(40000), nullptr);
+    EXPECT_EQ(memory.find(2), &low);
+
+    // A reused FlowId gets fresh buffers.
+    host::FlowBuffers &again = memory.ensure(40000);
+    EXPECT_EQ(again.rxWritten, 0u);
+    EXPECT_EQ(memory.flowCount(), 2u);
+}
+
+/**
+ * Drives one F4tLibrary with completions staged straight into its
+ * engine's host interface, so the tests choose the FlowIds (and their
+ * order) instead of the TCP engine.
+ */
+struct LibraryBench
+{
+    LibraryBench()
+    {
+        lib::F4tCallbacks callbacks;
+        callbacks.onAccepted = [this](lib::SockFd fd, std::uint16_t) {
+            accepted.push_back(fd);
+        };
+        callbacks.onReadable = [this](lib::SockFd fd, std::size_t n) {
+            readable.push_back({fd, n});
+        };
+        callbacks.onClosed = [this](lib::SockFd fd) {
+            closed.push_back(fd);
+        };
+        library.setCallbacks(callbacks);
+    }
+
+    void
+    complete(host::CmdOp op, tcp::FlowId flow, std::uint32_t arg0 = 0)
+    {
+        host::Command cmd;
+        cmd.op = op;
+        cmd.flow = flow;
+        cmd.arg0 = arg0;
+        cmd.arg1 = 80;
+        world.engineA->hostInterface().setFlowQueue(flow, 0);
+        world.engineA->hostInterface().postCompletion(flow, cmd);
+        test::runFor(world.sim, 20);
+    }
+
+    test::EnginePairWorld world;
+    lib::F4tLibrary library{*world.runtimeA, 0, world.cpuA->core(0)};
+    std::vector<lib::SockFd> accepted;
+    std::vector<std::pair<lib::SockFd, std::size_t>> readable;
+    std::vector<lib::SockFd> closed;
+};
+
+TEST(F4tLibrary, IgnoresLateCompletionForClosedFd)
+{
+    LibraryBench b;
+    b.complete(host::CmdOp::accepted, 9);
+    ASSERT_EQ(b.accepted.size(), 1u);
+    lib::SockFd fd = b.accepted[0];
+    EXPECT_TRUE(b.library.established(fd));
+
+    b.complete(host::CmdOp::received, 9, 100);
+    ASSERT_EQ(b.readable.size(), 1u);
+    EXPECT_EQ(b.readable[0].first, fd);
+    EXPECT_EQ(b.readable[0].second, 100u);
+
+    b.complete(host::CmdOp::closed, 9);
+    ASSERT_EQ(b.closed.size(), 1u);
+    EXPECT_EQ(b.closed[0], fd);
+    EXPECT_FALSE(b.library.established(fd));
+    EXPECT_EQ(b.world.runtimeA->memory().find(9), nullptr);
+
+    // Late completions for the closed socket's flow go nowhere.
+    b.complete(host::CmdOp::received, 9, 300);
+    b.complete(host::CmdOp::acked, 9, 50);
+    b.complete(host::CmdOp::closed, 9);
+    EXPECT_EQ(b.readable.size(), 1u);
+    EXPECT_EQ(b.closed.size(), 1u);
+    // So do completions for a FlowId the library never saw.
+    b.complete(host::CmdOp::received, 31000, 8);
+    EXPECT_EQ(b.readable.size(), 1u);
+    EXPECT_FALSE(b.library.established(31000));
+}
+
+TEST(F4tLibrary, ReusedFlowIdRoutesToNewFd)
+{
+    LibraryBench b;
+    b.complete(host::CmdOp::accepted, 4000);
+    b.complete(host::CmdOp::accepted, 5);
+    ASSERT_EQ(b.accepted.size(), 2u);
+    lib::SockFd old_fd = b.accepted[0];
+    lib::SockFd other_fd = b.accepted[1];
+    b.complete(host::CmdOp::closed, 4000);
+
+    // The engine recycles FlowId 4000 for a new connection.
+    b.complete(host::CmdOp::accepted, 4000);
+    ASSERT_EQ(b.accepted.size(), 3u);
+    lib::SockFd new_fd = b.accepted[2];
+    EXPECT_NE(new_fd, old_fd); // fds are never reused
+    EXPECT_FALSE(b.library.established(old_fd));
+    EXPECT_TRUE(b.library.established(new_fd));
+
+    b.complete(host::CmdOp::received, 4000, 64);
+    b.complete(host::CmdOp::received, 5, 32);
+    ASSERT_EQ(b.readable.size(), 2u);
+    EXPECT_EQ(b.readable[0], std::make_pair(new_fd, std::size_t{64}));
+    EXPECT_EQ(b.readable[1], std::make_pair(other_fd, std::size_t{32}));
+    EXPECT_EQ(b.world.runtimeA->memory().flowCount(), 2u);
 }
 
 TEST(Bram, PortBudgetEnforced)

@@ -18,12 +18,13 @@
 #include "sim/flight_recorder.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "bench_util.hh"
 
 namespace
 {
@@ -168,29 +169,27 @@ main(int argc, char **argv)
     bool flow_set = false;
     std::uint32_t flow = 0;
     std::vector<std::string> paths;
+    bool ok = true;
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--selftest") == 0) {
             return selftest();
         } else if (std::strcmp(argv[i], "--last") == 0 && i + 1 < argc) {
-            last_k = static_cast<std::size_t>(
-                std::strtoull(argv[++i], nullptr, 0));
+            ok = f4t::bench::parseCount("--last", argv[++i], last_k, 0);
         } else if (std::strcmp(argv[i], "--flow") == 0 && i + 1 < argc) {
             flow_set = true;
-            flow = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
+            ok = f4t::bench::parseCount("--flow", argv[++i], flow, 0, true);
         } else if (argv[i][0] == '-') {
-            std::fprintf(stderr,
-                         "usage: f4t_blackbox [--last K] [--flow N] "
-                         "[--selftest] dump.f4tfr...\n");
-            return 2;
+            ok = false;
         } else {
             paths.emplace_back(argv[i]);
         }
+        if (!ok)
+            break;
     }
-    if (paths.empty()) {
+    if (!ok || paths.empty()) {
         std::fprintf(stderr,
-                     "usage: f4t_blackbox [--last K] [--flow N] "
+                     "usage: f4t_blackbox [--last K] [--flow N|0xN] "
                      "[--selftest] dump.f4tfr...\n");
         return 2;
     }
