@@ -279,8 +279,9 @@ class Obs
                 statCsvPath_ = v;
                 if (auto at = statCsvPath_.rfind('@');
                     at != std::string::npos) {
-                    statIntervalUs_ =
-                        std::strtod(statCsvPath_.c_str() + at + 1, nullptr);
+                    if (!parseIntervalUs(statCsvPath_.c_str() + at + 1,
+                                         statIntervalUs_))
+                        std::exit(2);
                     statCsvPath_.resize(at);
                 }
             } else if ((v = value_of(argv[i], "--stat-select="))) {
@@ -298,6 +299,34 @@ class Obs
             !statCsvPath_.empty() || !statsJsonPath_.empty()) {
             installObservers();
         }
+    }
+
+    /**
+     * Strict --stat-sample interval: a positive decimal number of
+     * microseconds, at least one tick and within the Tick range, with
+     * no trailing junk. On a bad value it says why and returns false.
+     */
+    static bool
+    parseIntervalUs(const char *text, double &us)
+    {
+        char *end = nullptr;
+        errno = 0;
+        double value = std::strtod(text, &end);
+        bool decimal = text[0] != '\0' &&
+                       std::strspn(text, "0123456789.eE+-") ==
+                           std::strlen(text);
+        if (!decimal || *end != '\0' || errno != 0 || !(value > 0) ||
+            value * 1e6 >= static_cast<double>(sim::maxTick) ||
+            sim::microsecondsToTicks(value) < 1) {
+            std::fprintf(stderr,
+                         "obs: invalid --stat-sample interval '%s' (want "
+                         "a positive number of microseconds, at least "
+                         "one tick)\n",
+                         text);
+            return false;
+        }
+        us = value;
+        return true;
     }
 
     void
@@ -357,9 +386,8 @@ class Obs
             sim.setTimeline(rec->timeline.get());
         }
         if (!statCsvPath_.empty() || !statsJsonPath_.empty()) {
-            double us = statIntervalUs_ > 0 ? statIntervalUs_ : 100.0;
             rec->sampler = std::make_unique<sim::trace::StatSampler>(
-                sim, sim::microsecondsToTicks(us));
+                sim, sim::microsecondsToTicks(statIntervalUs_));
             rec->sampler->selectStats(statSelect_);
             if (!statCsvPath_.empty())
                 rec->sampler->setCsvPath(indexedPath(statCsvPath_, index));

@@ -39,21 +39,6 @@ class TimerWheel : public sim::SimObject
                          "timeout events generated")
     {}
 
-    /** Purge every timer from the queue in one sweep (a per-event
-     *  ~Event purge would sweep the queue once per armed timer). */
-    ~TimerWheel() override
-    {
-        std::vector<sim::Event *> timers;
-        timers.reserve(flows_.size() * numKinds);
-        for (auto &flow : flows_) {
-            if (flow) {
-                for (Timer &timer : *flow)
-                    timers.push_back(&timer);
-            }
-        }
-        queue().purge(timers);
-    }
-
     void setSink(TimeoutSink sink) { sink_ = std::move(sink); }
 
     /** Apply a TimerRequest from an FPU pass (deadline 0 = cancel). */

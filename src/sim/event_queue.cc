@@ -3,7 +3,6 @@
 #include "sim/flight_recorder.hh"
 #include "sim/simulation.hh" // ClockedObject::TickEvent (tagged dispatch)
 
-#include <algorithm>
 #include <bit>
 
 namespace f4t::sim
@@ -30,13 +29,11 @@ eventCategory(const Event *ev)
 
 Event::~Event()
 {
-    // Detach fully, not just deschedule: lazy removal may have left
-    // squashed entries naming this event, and any entry surviving the
-    // destructor would dangle (isLive dereferences the event). When no
-    // entry names the event, the queue is not touched at all — it may
-    // legitimately have been destroyed first.
-    if (queue_ != nullptr && (scheduled_ || staleEntries_ > 0))
-        queue_->forget(this);
+    // Removal is eager, so nothing in the queue names this event once
+    // it is descheduled. An unscheduled event never touches the queue,
+    // which may legitimately have been destroyed first.
+    if (queue_ != nullptr)
+        queue_->deschedule(this);
 }
 
 EventQueue::EventQueue()
@@ -50,59 +47,24 @@ EventQueue::EventQueue()
 
 EventQueue::~EventQueue()
 {
-    // Entries may still reference events. Live self-deleting callback
-    // events belong to our arena: drop their captured state now. Any
-    // live external event is detached so its own destructor does not
-    // call back into this dying queue.
-    auto retire = [](Node &n) {
-        Event *ev = n.event;
-        bool live = ev->scheduled_ && n.generation == ev->generation_;
-        if (live) {
-            if (n.selfDeleting)
-                static_cast<CallbackEvent *>(ev)->fn_.reset();
-            ev->scheduled_ = false;
-        }
-        // Detach squashed entries' events too, so their destructors
-        // do not call forget() on this dying queue.
+    // Detach every pending event, so an external one outliving the
+    // queue does not call back into it from its destructor. Pending
+    // pooled callbacks drop their captured state with the arena.
+    auto detach = [](Event *ev) {
         ev->queue_ = nullptr;
+        ev->heapSlot_ = Event::noSlot;
     };
-    if (soloEvent_ != nullptr) {
-        Node as_node{soloWhen_, soloPriority_, soloSeq_, soloGeneration_,
-                     soloEvent_, soloSelfDeleting_, nullptr};
-        retire(as_node);
+    if (soloEvent_ != nullptr)
+        detach(soloEvent_);
+    for (Event *head : buckets_) {
+        for (Event *ev = head; ev != nullptr; ev = ev->next_)
+            detach(ev);
     }
-    for (std::size_t b = 0; b < buckets_.size(); ++b) {
-        for (Node *n = buckets_[b]; n != nullptr; n = n->next)
-            retire(*n);
-    }
-    for (const HeapEntry &e : heap_) {
-        Node as_node{e.when, e.priority, e.seq, e.generation, e.event,
-                     e.selfDeleting, nullptr};
-        retire(as_node);
-    }
+    for (const HeapEntry &entry : heap_)
+        detach(entry.event);
 }
 
-// --- pools ----------------------------------------------------------------
-
-EventQueue::Node *
-EventQueue::acquireNode()
-{
-    if (freeNodes_ != nullptr) {
-        Node *n = freeNodes_;
-        freeNodes_ = n->next;
-        return n;
-    }
-    nodeArena_.emplace_back();
-    return &nodeArena_.back();
-}
-
-void
-EventQueue::releaseNode(Node *node)
-{
-    node->event = nullptr;
-    node->next = freeNodes_;
-    freeNodes_ = node;
-}
+// --- callback pool --------------------------------------------------------
 
 EventQueue::CallbackEvent *
 EventQueue::acquireCallback()
@@ -126,13 +88,12 @@ EventQueue::recycleCallback(CallbackEvent *ev)
     // when this pool slot happens to be reused.
     ev->fn_.reset();
     ev->what_ = "callback";
-    ev->queue_ = nullptr;
     ev->nextFree_ = freeCallbacks_;
     freeCallbacks_ = ev;
     ++freeCallbackCount_;
 }
 
-// --- ladder bitmap --------------------------------------------------------
+// --- ladder ---------------------------------------------------------------
 
 void
 EventQueue::setBit(std::size_t idx)
@@ -163,158 +124,202 @@ EventQueue::findBucketFrom(std::size_t from) const
     return (word << 6) + std::countr_zero(w);
 }
 
-// --- scheduling -----------------------------------------------------------
-
 void
-EventQueue::insertLadder(Tick when, int priority, std::uint64_t seq,
-                         std::uint64_t generation, Event *ev,
-                         bool self_deleting)
+EventQueue::insertLadder(Event *ev)
 {
-    std::size_t idx =
-        static_cast<std::size_t>(when - ladderBase_) >> granuleShift;
-    Node *n = acquireNode();
-    *n = Node{when, priority, seq, generation, ev, self_deleting, nullptr};
-
-    Node *tail = tails_[idx];
+    std::size_t idx = bucketOf(ev->key_.when);
+    Event *tail = tails_[idx];
     if (tail == nullptr) {
-        buckets_[idx] = tails_[idx] = n;
+        ev->prev_ = ev->next_ = nullptr;
+        buckets_[idx] = tails_[idx] = ev;
         setBit(idx);
-    } else if (!keyBefore(*n, *tail)) {
+    } else if (!(ev->key_ < tail->key_)) {
         // Ascending keys — clock ticks marching forward, same-tick
         // callbacks with rising seq — append in O(1).
-        tail->next = n;
-        tails_[idx] = n;
+        ev->prev_ = tail;
+        ev->next_ = nullptr;
+        tail->next_ = ev;
+        tails_[idx] = ev;
     } else {
-        // Out-of-order arrival within the granule: sorted insert.
-        Node **link = &buckets_[idx];
-        while (*link != nullptr && !keyBefore(*n, **link))
-            link = &(*link)->next;
-        n->next = *link;
-        *link = n;
+        // Out-of-order arrival within the granule: sorted insert
+        // before the first later event (the tail is one, so the walk
+        // always stops inside the chain).
+        Event *at = buckets_[idx];
+        while (!(ev->key_ < at->key_))
+            at = at->next_;
+        ev->prev_ = at->prev_;
+        ev->next_ = at;
+        (at->prev_ != nullptr ? at->prev_->next_ : buckets_[idx]) = ev;
+        at->prev_ = ev;
     }
     ++ladderNodes_;
 }
 
 void
-EventQueue::push(Event *ev, Tick when, bool self_deleting)
+EventQueue::unlinkLadder(Event *ev)
+{
+    std::size_t idx = bucketOf(ev->key_.when);
+    (ev->prev_ != nullptr ? ev->prev_->next_ : buckets_[idx]) = ev->next_;
+    (ev->next_ != nullptr ? ev->next_->prev_ : tails_[idx]) = ev->prev_;
+    if (buckets_[idx] == nullptr)
+        clearBit(idx);
+    --ladderNodes_;
+}
+
+// --- far heap -------------------------------------------------------------
+
+void
+EventQueue::heapSet(std::size_t slot, const HeapEntry &entry)
+{
+    heap_[slot] = entry;
+    entry.event->heapSlot_ = static_cast<std::uint32_t>(slot);
+}
+
+void
+EventQueue::siftUp(std::size_t slot)
+{
+    HeapEntry entry = heap_[slot];
+    while (slot > 0) {
+        std::size_t parent = (slot - 1) / 2;
+        if (!(entry.key < heap_[parent].key))
+            break;
+        heapSet(slot, heap_[parent]);
+        slot = parent;
+    }
+    heapSet(slot, entry);
+}
+
+void
+EventQueue::siftDown(std::size_t slot)
+{
+    HeapEntry entry = heap_[slot];
+    std::size_t n = heap_.size();
+    while (true) {
+        std::size_t child = 2 * slot + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && heap_[child + 1].key < heap_[child].key)
+            ++child;
+        if (!(heap_[child].key < entry.key))
+            break;
+        heapSet(slot, heap_[child]);
+        slot = child;
+    }
+    heapSet(slot, entry);
+}
+
+void
+EventQueue::heapPush(Event *ev)
+{
+    f4t_assert(heap_.size() < Event::noSlot, "far heap overflow");
+    heap_.push_back(HeapEntry{ev->key_, ev});
+    siftUp(heap_.size() - 1);
+}
+
+void
+EventQueue::heapErase(std::size_t slot)
+{
+    heap_[slot].event->heapSlot_ = Event::noSlot;
+    HeapEntry last = heap_.back();
+    heap_.pop_back();
+    if (slot == heap_.size())
+        return;
+    heapSet(slot, last);
+    if (slot > 0 && last.key < heap_[(slot - 1) / 2].key)
+        siftUp(slot);
+    else
+        siftDown(slot);
+}
+
+void
+EventQueue::rebaseLadder()
+{
+    f4t_assert(ladderNodes_ == 0, "rebase with a non-empty ladder");
+    f4t_assert(!heap_.empty(), "rebase needs a heap entry");
+    ladderBase_ = heap_.front().key.when;
+    cursor_ = 0;
+    // Batch refill: move every heap entry inside the new window into
+    // its bucket. The front entry lands in bucket 0, so the ladder is
+    // guaranteed non-empty afterwards.
+    while (!heap_.empty() && inWindow(heap_.front().key.when)) {
+        Event *ev = heap_.front().event;
+        heapErase(0);
+        insertLadder(ev);
+    }
+}
+
+// --- scheduling -----------------------------------------------------------
+
+void
+EventQueue::push(Event *ev, Tick when)
 {
     f4t_assert(when >= now_,
                "scheduling event '%s' in the past (%llu < %llu)",
                ev->description().c_str(),
                static_cast<unsigned long long>(when),
                static_cast<unsigned long long>(now_));
-    f4t_assert(!ev->scheduled_, "event '%s' already scheduled",
+    f4t_assert(!ev->scheduled(), "event '%s' already scheduled",
                ev->description().c_str());
 
-    ev->when_ = when;
-    ev->scheduled_ = true;
+    ev->key_.when = when;
+    ev->key_.seq = nextSeq_++;
     ev->queue_ = this;
-    std::uint64_t seq = nextSeq_++;
 
-    if (liveEvents_ == 0 && deadEntries_ == 0) {
+    if (liveEvents_++ == 0) {
         // Nothing pending anywhere: park the event in the solo
-        // register — no node, no bitmap, no heap.
+        // register — no chain, no bitmap, no heap.
         soloEvent_ = ev;
-        soloWhen_ = when;
-        soloPriority_ = ev->priority_;
-        soloSeq_ = seq;
-        soloGeneration_ = ev->generation_;
-        soloSelfDeleting_ = self_deleting;
-        ++liveEvents_;
         return;
     }
-    if (soloEvent_ != nullptr)
-        spillSolo();
+    if (soloEvent_ != nullptr) {
+        // The solo invariant says both containers are empty, so the
+        // window may snap onto the spilled event (see place()).
+        f4t_assert(ladderNodes_ == 0 && heap_.empty(),
+                   "solo register set while containers hold entries");
+        place(soloEvent_);
+        soloEvent_ = nullptr;
+    }
+    place(ev);
+}
 
-    if (!inWindow(when) && ladderNodes_ == 0 && heap_.empty() &&
-        deadEntries_ == 0) {
+void
+EventQueue::place(Event *ev)
+{
+    Tick when = ev->key_.when;
+    if (!inWindow(when) && ladderNodes_ == 0 && heap_.empty()) {
         // Containers are empty: snap the window onto this event so it
         // (and its short-horizon successors) schedule O(1).
         ladderBase_ = when;
         cursor_ = 0;
     }
-
-    if (inWindow(when)) {
-        insertLadder(when, ev->priority_, seq, ev->generation_, ev,
-                     self_deleting);
-    } else {
-        heap_.push_back(HeapEntry{when, ev->priority_, seq,
-                                  ev->generation_, ev, self_deleting});
-        std::push_heap(heap_.begin(), heap_.end(), HeapCompare{});
-    }
-    ++liveEvents_;
-}
-
-void
-EventQueue::spillSolo()
-{
-    // The solo invariant says both containers are empty, so the
-    // window may snap onto the spilled event when it lies outside.
-    f4t_assert(ladderNodes_ == 0 && heap_.empty() && deadEntries_ == 0,
-               "solo register set while containers hold entries");
-    if (!inWindow(soloWhen_)) {
-        ladderBase_ = soloWhen_;
-        cursor_ = 0;
-    }
-    insertLadder(soloWhen_, soloPriority_, soloSeq_, soloGeneration_,
-                 soloEvent_, soloSelfDeleting_);
-    soloEvent_ = nullptr;
+    if (inWindow(when))
+        insertLadder(ev);
+    else
+        heapPush(ev);
 }
 
 void
 EventQueue::deschedule(Event *ev)
 {
-    if (!ev->scheduled_)
+    if (!ev->scheduled())
         return;
-    ++ev->generation_;
-    ev->scheduled_ = false;
+    f4t_assert(ev->queue_ == this, "event '%s' scheduled on another queue",
+               ev->description().c_str());
     f4t_assert(liveEvents_ > 0, "live event count underflow");
     --liveEvents_;
-    if (ev == soloEvent_) {
-        // The solo register is removed eagerly: no container entry
-        // exists, so there is nothing to squash.
+    ev->queue_ = nullptr;
+    if (ev == soloEvent_)
         soloEvent_ = nullptr;
-        return;
-    }
-    // Lazy removal: the generation bump above squashes the entry.
-    ++deadEntries_;
-    ++ev->staleEntries_;
-    maybeCompact();
-}
-
-void
-EventQueue::purge(std::span<Event *const> events)
-{
-    // Deschedule the whole set first: every container entry naming one
-    // of these events is then squashed, so a single compaction sweep
-    // drops them all. Teardown of N events therefore costs one pass
-    // over the containers, not N. Events that no entry here names
-    // (never scheduled, detached, or on another queue) are skipped.
-    bool stale = false;
-    for (Event *ev : events) {
-        if (ev->queue_ != this)
-            continue;
-        deschedule(ev);
-        stale = stale || ev->staleEntries_ > 0;
-    }
-    if (stale)
-        compact();
-    for (Event *ev : events) {
-        if (ev->queue_ != this)
-            continue;
-        f4t_assert(ev->staleEntries_ == 0,
-                   "purge left %u stale entries for event '%s'",
-                   ev->staleEntries_, ev->description().c_str());
-        ev->queue_ = nullptr;
-    }
-    checkAccounting();
+    else if (ev->heapSlot_ != Event::noSlot)
+        heapErase(ev->heapSlot_);
+    else
+        unlinkLadder(ev);
 }
 
 void
 EventQueue::reschedule(Event *ev, Tick when)
 {
-    if (ev->scheduled_)
-        deschedule(ev);
+    deschedule(ev);
     schedule(ev, when);
 }
 
@@ -325,176 +330,19 @@ EventQueue::scheduleCallback(Tick when, const char *what, SmallFunction fn,
     CallbackEvent *ev = acquireCallback();
     ev->fn_ = std::move(fn);
     ev->what_ = what;
-    ev->priority_ = priority;
-    push(ev, when, true);
-}
-
-// --- squash handling ------------------------------------------------------
-
-void
-EventQueue::skipSquashed()
-{
-    while (!heap_.empty() && !isLive(heap_.front())) {
-        Event *dead = heap_.front().event;
-        std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
-        heap_.pop_back();
-        droppedDead(dead);
-    }
-}
-
-void
-EventQueue::maybeCompact()
-{
-    // Compact once squashed entries outnumber live ones (with a floor
-    // so small queues never bother). Each compaction drops at least
-    // half of all entries, so the amortized cost per deschedule is
-    // O(1) and container growth is bounded by the live population.
-    if (deadEntries_ > 64 && deadEntries_ > liveEvents_)
-        compact();
-}
-
-void
-EventQueue::compact()
-{
-    // Ladder sweep: unlink squashed nodes bucket by bucket, rebuilding
-    // each bucket's tail pointer as we go.
-    for (std::size_t word = 0; word < bitsWords; ++word) {
-        std::uint64_t w = bits_[word];
-        while (w != 0) {
-            std::size_t b = (word << 6) + std::countr_zero(w);
-            w &= w - 1;
-            Node **link = &buckets_[b];
-            Node *last = nullptr;
-            while (Node *n = *link) {
-                if (isLive(*n)) {
-                    last = n;
-                    link = &n->next;
-                    continue;
-                }
-                *link = n->next;
-                --ladderNodes_;
-                droppedDead(n->event);
-                releaseNode(n);
-            }
-            tails_[b] = last;
-            if (buckets_[b] == nullptr)
-                clearBit(b);
-        }
-    }
-
-    // Heap sweep: filter in place, then restore the heap property.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-        if (isLive(heap_[i])) {
-            heap_[kept++] = heap_[i];
-        } else {
-            droppedDead(heap_[i].event);
-        }
-    }
-    heap_.resize(kept);
-    std::make_heap(heap_.begin(), heap_.end(), HeapCompare{});
-
-    checkAccounting();
-#ifndef NDEBUG
-    // Full recount: the cheap counter identity can hide paired
-    // mistakes, so debug builds re-derive both sides from scratch.
-    std::size_t live = soloEvent_ != nullptr ? 1 : 0, dead = 0, nodes = 0;
-    for (std::size_t b = 0; b < buckets_.size(); ++b) {
-        for (Node *n = buckets_[b]; n != nullptr; n = n->next) {
-            ++nodes;
-            (isLive(*n) ? live : dead) += 1;
-        }
-    }
-    for (const HeapEntry &e : heap_)
-        (isLive(e) ? live : dead) += 1;
-    f4t_assert(nodes == ladderNodes_, "ladder node recount mismatch");
-    f4t_assert(live == liveEvents_, "live event recount mismatch");
-    f4t_assert(dead == deadEntries_, "dead entry recount mismatch");
-#endif
-}
-
-void
-EventQueue::checkAccounting() const
-{
-#ifndef NDEBUG
-    std::size_t solo = soloEvent_ != nullptr ? 1 : 0;
-    f4t_assert(liveEvents_ + deadEntries_ ==
-                   ladderNodes_ + heap_.size() + solo,
-               "event accounting mismatch: %zu live + %zu dead != "
-               "%zu ladder + %zu heap + %zu solo",
-               liveEvents_, deadEntries_, ladderNodes_, heap_.size(), solo);
-#endif
+    ev->key_.priority = priority;
+    push(ev, when);
 }
 
 // --- popping --------------------------------------------------------------
 
 void
-EventQueue::rebaseLadder()
+EventQueue::fire(Event *ev)
 {
-    f4t_assert(ladderNodes_ == 0, "rebase with a non-empty ladder");
-    f4t_assert(!heap_.empty() && isLive(heap_.front()),
-               "rebase needs a live heap top");
-    ladderBase_ = heap_.front().when;
-    cursor_ = 0;
-    // Batch refill: move every heap entry inside the new window into
-    // its bucket. The front entry lands in bucket 0, so the ladder is
-    // guaranteed non-empty afterwards.
-    while (!heap_.empty() && inWindow(heap_.front().when)) {
-        HeapEntry top = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
-        heap_.pop_back();
-        if (!isLive(top)) {
-            droppedDead(top.event);
-            continue;
-        }
-        insertLadder(top.when, top.priority, top.seq, top.generation,
-                     top.event, top.selfDeleting);
-    }
-}
-
-EventQueue::Candidate
-EventQueue::findCandidate()
-{
-    while (true) {
-        std::size_t b = findBucketFrom(cursor_);
-        if (b < numBuckets) {
-            // The chain is sorted, so the head is the bucket minimum;
-            // squashed entries are pruned as they surface there.
-            Node *n = buckets_[b];
-            while (n != nullptr && !isLive(*n)) {
-                buckets_[b] = n->next;
-                --ladderNodes_;
-                droppedDead(n->event);
-                releaseNode(n);
-                n = buckets_[b];
-            }
-            if (n == nullptr) {
-                // Bucket held only squashed entries; the cleared bit
-                // makes the rescan skip it. cursor_ must not advance:
-                // this granule may still be in the future and could
-                // be scheduled into again.
-                tails_[b] = nullptr;
-                clearBit(b);
-                continue;
-            }
-            return Candidate{b, n};
-        }
-
-        // Ladder empty: rebase the window onto the earliest heap
-        // entry, or report an empty queue.
-        skipSquashed();
-        if (heap_.empty())
-            return Candidate{};
-        rebaseLadder();
-    }
-}
-
-void
-EventQueue::fire(Event *ev, Tick when, bool self_deleting)
-{
+    Tick when = ev->key_.when;
     f4t_assert(when >= now_, "event queue time went backwards");
     now_ = when;
-    ev->scheduled_ = false;
+    ev->queue_ = nullptr;
     f4t_assert(liveEvents_ > 0, "live event count underflow");
     --liveEvents_;
     ++processed_;
@@ -503,17 +351,23 @@ EventQueue::fire(Event *ev, Tick when, bool self_deleting)
     // the beat piggybacks on the existing dispatch counter so the
     // watchdog sees progress without another atomic on every fire.
     fr::record(fr::Kind::evDispatch, when, 0, 0,
-               static_cast<std::uint64_t>(ev->priority_), processed_);
+               static_cast<std::uint64_t>(ev->key_.priority), processed_);
     if ((processed_ & 0x3fff) == 0)
         fr::beat();
+    // A generic event may destroy itself in process(): read all we
+    // need now and never touch *ev after dispatch. Pooled callbacks
+    // are owned by the queue and recycled afterwards.
+    auto *callback = ev->kind_ == EventKind::callback
+                         ? static_cast<CallbackEvent *>(ev)
+                         : nullptr;
     if (prof::enabled()) {
         prof::Scope event_scope(eventCategory(ev));
         dispatch(ev);
     } else {
         dispatch(ev);
     }
-    if (self_deleting)
-        recycleCallback(static_cast<CallbackEvent *>(ev));
+    if (callback != nullptr)
+        recycleCallback(callback);
 }
 
 void
@@ -540,51 +394,32 @@ EventQueue::dispatch(Event *ev)
 bool
 EventQueue::runOneSlow(Tick limit)
 {
-    checkAccounting();
-    Candidate cand = findCandidate();
-    skipSquashed();
-    if (cand.node == nullptr && heap_.empty())
-        return false;
-
+    if (ladderNodes_ == 0) {
+        // Ladder drained: rebase the window onto the earliest heap
+        // entry, or report an empty queue.
+        if (heap_.empty())
+            return false;
+        rebaseLadder();
+    }
+    std::size_t bucket = findBucketFrom(cursor_);
+    Event *ev = buckets_[bucket];
     // The ladder window normally precedes every heap entry, but an
     // event scheduled below a rebased window lands in the heap, so the
     // global minimum needs one comparison between the two fronts.
-    bool use_heap = cand.node == nullptr;
-    if (!use_heap && !heap_.empty())
-        use_heap = keyBefore(heap_.front(), *cand.node);
-
-    Tick when;
-    Event *ev;
-    bool self_deleting;
-    if (use_heap) {
-        if (heap_.front().when > limit)
-            return false;
-        HeapEntry top = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
-        heap_.pop_back();
-        when = top.when;
-        ev = top.event;
-        self_deleting = top.selfDeleting;
+    bool from_heap = !heap_.empty() && heap_.front().key < ev->key_;
+    if (from_heap)
+        ev = heap_.front().event;
+    if (ev->key_.when > limit)
+        return false;
+    if (from_heap) {
+        heapErase(0);
     } else {
-        Node *n = cand.node;
-        if (n->when > limit)
-            return false;
-        buckets_[cand.bucket] = n->next;
-        --ladderNodes_;
-        if (buckets_[cand.bucket] == nullptr) {
-            tails_[cand.bucket] = nullptr;
-            clearBit(cand.bucket);
-        }
+        unlinkLadder(ev);
         // Nothing can be scheduled before this event's tick once it
         // fires, so the scan may start here permanently.
-        cursor_ = cand.bucket;
-        when = n->when;
-        ev = n->event;
-        self_deleting = n->selfDeleting;
-        releaseNode(n);
+        cursor_ = bucket;
     }
-
-    fire(ev, when, self_deleting);
+    fire(ev);
     return true;
 }
 

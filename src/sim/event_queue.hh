@@ -3,34 +3,31 @@
  * Discrete-event simulation queue.
  *
  * The queue orders Event objects by (tick, priority, insertion
- * sequence). Storage is two-level:
+ * sequence) — the order of a single global priority queue, bit for
+ * bit, which is what keeps every simulated result deterministic.
  *
- *  - a near-future "ladder" of granule buckets covering the next
- *    ladderSpan ticks (64 ticks per bucket, so the bucket array plus
- *    its occupancy bitmap stay L1-resident). The overwhelmingly
- *    common short-horizon events — clock ticks, link serialization
- *    slots, DRAM/PCIe completions — schedule and pop in O(1) with no
- *    heap traffic. Each bucket chain is kept sorted by the queue key,
- *    with a tail pointer so the dominant in-order insertion pattern
- *    appends in O(1);
- *  - a far-future binary heap backing the ladder. When the ladder
- *    drains, the window is rebased onto the earliest heap entry and
- *    every heap entry inside the new window is transferred in one
- *    batch.
+ * Events are intrusive: each Event carries its own key and its
+ * position in the queue, so deschedule() removes it in place and a
+ * container never holds anything but live events. A scheduled event
+ * sits in exactly one of three places:
  *
- * Because the ladder window always precedes every heap entry, the
- * pop order is identical to a single global heap: same (tick,
- * priority, seq) total order, bit-for-bit. That determinism invariant
- * is what lets the two-level design replace the original
- * std::priority_queue without perturbing any simulated result.
- *
- * Events are intrusive: an Event remembers whether it is scheduled so
- * it can be safely rescheduled or descheduled. Descheduling is lazy —
- * the entry stays in its container with a squashed generation counter
- * and is dropped when encountered — with one addition over the
- * classic scheme: when squashed entries outnumber live ones the queue
- * compacts, so descheduling churn can no longer grow the containers
- * unboundedly.
+ *  - the solo register, when it is the only pending event. A region
+ *    driven by one self-rescheduling clock — the steady state of every
+ *    saturated-pipeline scenario — then schedules and pops without
+ *    touching either container;
+ *  - a near-future "ladder" of 64-tick granule buckets covering the
+ *    next ladderSpan ticks, with an occupancy bitmap (the whole index
+ *    stays L1-resident). Each bucket is a sorted chain linked through
+ *    the events' prev_/next_ pointers, with a tail pointer so the
+ *    dominant in-order insertion appends in O(1) and any event
+ *    unlinks in O(1). Clock ticks, link serialization slots and
+ *    DRAM/PCIe completions live here;
+ *  - a far-future binary heap of {key, event} entries, each event
+ *    remembering its slot so it can be sifted out in O(log n).
+ *    Retransmission timers and other long horizons live here. When
+ *    the ladder drains, its window is rebased onto the earliest heap
+ *    entry and every heap entry inside the new window moves over in
+ *    one batch.
  *
  * One-shot callbacks (scheduleCallback) draw their event objects from
  * a free-list pool, and the callable lives in small-buffer-optimized
@@ -38,15 +35,10 @@
  * packet delivery and completion callbacks — never touches the
  * allocator in steady state.
  *
- * Lifetime rule: because descheduling is lazy, a descheduled Event
- * may still be referenced by a squashed entry. ~Event therefore calls
- * forget(), which purges every entry naming the event — an Event may
- * be destroyed at any time without leaving a dangling pointer behind.
- * Owners of many events purge() them as a set first, so teardown
- * sweeps the containers once instead of once per event.
- * The queue itself must outlive any event that was ever scheduled on
- * it; in practice, make events members of modules that live no longer
- * than the Simulation (the usual gem5 convention).
+ * Lifetime rule: ~Event deschedules the event, so an Event may be
+ * destroyed at any time, even from inside its own process(). The
+ * queue detaches every event still pending when it is destroyed, so
+ * events may also outlive their queue.
  */
 
 #ifndef F4T_SIM_EVENT_QUEUE_HH
@@ -54,7 +46,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -83,6 +74,24 @@ enum class EventKind : std::uint8_t
     tick,     ///< ClockedObject::TickEvent — run the tick/re-arm logic
 };
 
+/** The queue's total order: tick, then priority, then sequence. */
+struct EventKey
+{
+    Tick when;
+    int priority;
+    std::uint64_t seq;
+
+    bool
+    operator<(const EventKey &o) const
+    {
+        if (when != o.when)
+            return when < o.when;
+        if (priority != o.priority)
+            return priority < o.priority;
+        return seq < o.seq;
+    }
+};
+
 /**
  * Base class for all schedulable events. Subclasses implement process().
  * An Event may be scheduled on at most one queue at a time.
@@ -98,14 +107,14 @@ class Event
         statsPriority = 90,    ///< end-of-interval bookkeeping
     };
 
-    explicit Event(int priority = defaultPriority) : priority_(priority) {}
+    explicit Event(int priority = defaultPriority) : key_{0, priority, 0} {}
     virtual ~Event();
 
   protected:
     /** For the known hot subclasses: tag the event for switch dispatch
      *  (see EventKind). The tag must match the dynamic type — fire()
      *  static_casts on it. */
-    Event(int priority, EventKind kind) : priority_(priority), kind_(kind)
+    Event(int priority, EventKind kind) : key_{0, priority, 0}, kind_(kind)
     {}
 
   public:
@@ -129,21 +138,22 @@ class Event
      */
     virtual const char *profileTag() const { return nullptr; }
 
-    bool scheduled() const { return scheduled_; }
-    Tick when() const { return when_; }
-    int priority() const { return priority_; }
+    bool scheduled() const { return queue_ != nullptr; }
+    Tick when() const { return key_.when; }
+    int priority() const { return key_.priority; }
 
   private:
     friend class EventQueue;
 
-    Tick when_ = 0;
-    int priority_;
+    /** heapSlot_ of an event outside the far heap. */
+    static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
+
+    EventKey key_;
     EventKind kind_ = EventKind::generic;
-    bool scheduled_ = false;
-    std::uint64_t generation_ = 0; ///< bumped on deschedule to squash
-    /** Squashed container entries still naming this event. */
-    std::uint32_t staleEntries_ = 0;
-    EventQueue *queue_ = nullptr;
+    std::uint32_t heapSlot_ = noSlot; ///< far-heap index, if there
+    Event *prev_ = nullptr;           ///< ladder chain, if there
+    Event *next_ = nullptr;
+    EventQueue *queue_ = nullptr;     ///< set exactly while scheduled
 };
 
 /**
@@ -186,38 +196,19 @@ class EventQueue
         // saturated-pipeline run lands here each cycle. Error cases
         // (past tick, double schedule) fall through to push(), whose
         // asserts report them.
-        if (liveEvents_ == 0 && deadEntries_ == 0 && !ev->scheduled_ &&
-            when >= now_) {
-            ev->when_ = when;
-            ev->scheduled_ = true;
+        if (liveEvents_ == 0 && ev->queue_ == nullptr && when >= now_) {
+            ev->key_.when = when;
+            ev->key_.seq = nextSeq_++;
             ev->queue_ = this;
             soloEvent_ = ev;
-            soloWhen_ = when;
-            soloPriority_ = ev->priority_;
-            soloSeq_ = nextSeq_++;
-            soloGeneration_ = ev->generation_;
-            soloSelfDeleting_ = false;
             liveEvents_ = 1;
             return;
         }
-        push(ev, when, false);
+        push(ev, when);
     }
 
-    /** Remove a scheduled event; no-op if it is not scheduled. */
+    /** Remove a scheduled event in place; no-op if it is not scheduled. */
     void deschedule(Event *ev);
-
-    /**
-     * Deschedule every event in @p events and purge each container
-     * entry naming one of them, live or squashed, so no dangling
-     * pointer survives their destruction. One sweep over the
-     * containers serves the whole set (owners of many events, such as
-     * the timer wheel, purge them together on teardown). Events this
-     * queue does not hold are ignored.
-     */
-    void purge(std::span<Event *const> events);
-
-    /** purge() for one event; called by ~Event. */
-    void forget(Event *ev) { purge({&ev, 1}); }
 
     /** Deschedule if needed and schedule at the new time. */
     void reschedule(Event *ev, Tick when);
@@ -239,34 +230,28 @@ class EventQueue
         scheduleCallback(when, "callback", std::move(fn), priority);
     }
 
-    /** True when no live events remain. */
+    /** True when no events are pending. */
     bool empty() const { return liveEvents_ == 0; }
 
     /**
-     * Conservative lower bound on the next live event's tick: exact
-     * when the earliest container entry is live, possibly early when
-     * squashed entries lead it (the safe direction — callers may only
-     * use this to skip idle time, never to run past it); maxTick when
-     * no live event remains. O(1), no container mutation: the parallel
-     * executor polls every partition's queue at each window barrier.
+     * The next pending event's tick, exactly; maxTick when none is
+     * pending. O(1), no container mutation: the parallel executor
+     * polls every partition's queue at each window barrier.
      */
     Tick
     nextEventLowerBound() const
     {
         if (soloEvent_ != nullptr)
-            return soloWhen_;
-        if (liveEvents_ == 0)
-            return maxTick;
+            return soloEvent_->key_.when;
         Tick bound = maxTick;
-        std::size_t bucket = findBucketFrom(cursor_);
-        if (bucket < numBuckets)
-            bound = buckets_[bucket]->when;
-        if (!heap_.empty() && heap_.front().when < bound)
-            bound = heap_.front().when;
+        if (ladderNodes_ != 0)
+            bound = buckets_[findBucketFrom(cursor_)]->key_.when;
+        if (!heap_.empty() && heap_.front().key.when < bound)
+            bound = heap_.front().key.when;
         return bound;
     }
 
-    /** Number of live (non-squashed) scheduled events. */
+    /** Number of pending events. */
     std::size_t size() const { return liveEvents_; }
 
     /**
@@ -295,12 +280,11 @@ class EventQueue
     {
         // Solo fast path, inline (see schedule()); container pops take
         // the out-of-line slow path.
-        if (soloEvent_ != nullptr) {
-            if (soloWhen_ > limit)
+        if (Event *ev = soloEvent_; ev != nullptr) {
+            if (ev->key_.when > limit)
                 return false;
-            Event *ev = soloEvent_;
             soloEvent_ = nullptr;
-            fire(ev, soloWhen_, soloSelfDeleting_);
+            fire(ev);
             return true;
         }
         return runOneSlow(limit);
@@ -315,44 +299,16 @@ class EventQueue
     std::size_t callbackPoolAllocated() const { return callbackArena_.size(); }
     /** Callback events currently parked on the free list. */
     std::size_t callbackPoolFree() const { return freeCallbackCount_; }
-    /** Squashed entries not yet dropped from either container. */
-    std::size_t squashedEntries() const { return deadEntries_; }
+    /** Always 0: removal is eager. Kept for the benchmark harness,
+     *  which still reports it as sim.eq.squashed_peak. */
+    std::size_t squashedEntries() const { return 0; }
 
   private:
-    /** A scheduled occurrence; doubles as a ladder chain node. */
-    struct Node
-    {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
-        std::uint64_t generation;
-        Event *event;
-        bool selfDeleting;
-        Node *next;
-    };
-
-    /** Far-future heap entry (same ordering key, no chain pointer). */
+    /** Far-heap entry: the key, copied for cache-friendly sifts. */
     struct HeapEntry
     {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
-        std::uint64_t generation;
+        EventKey key;
         Event *event;
-        bool selfDeleting;
-    };
-
-    struct HeapCompare
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
-        }
     };
 
     /** Pooled one-shot callback event (see scheduleCallback). */
@@ -371,127 +327,76 @@ class EventQueue
         CallbackEvent *nextFree_ = nullptr;
     };
 
-    template <typename EntryT>
-    static bool
-    isLive(const EntryT &entry)
-    {
-        return entry.event->scheduled_ &&
-               entry.generation == entry.event->generation_;
-    }
-
     bool inWindow(Tick when) const
     {
         return when - ladderBase_ < ladderSpan;
     }
 
-    /** Strict (when, priority, seq) ordering between two entries. */
-    template <typename A, typename B>
-    static bool
-    keyBefore(const A &a, const B &b)
+    std::size_t
+    bucketOf(Tick when) const
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        return a.seq < b.seq;
+        return static_cast<std::size_t>(when - ladderBase_) >> granuleShift;
     }
 
-    void push(Event *ev, Tick when, bool self_deleting);
+    void push(Event *ev, Tick when);
+    /** File @p ev into the ladder or the far heap. */
+    void place(Event *ev);
     /** runOne() when the solo register is empty. */
     bool runOneSlow(Tick limit);
-    void insertLadder(Tick when, int priority, std::uint64_t seq,
-                      std::uint64_t generation, Event *ev,
-                      bool self_deleting);
-    /** Move the solo register's occupant into the ladder/heap. */
-    void spillSolo();
-    /** Shared fire tail: pop bookkeeping + process + recycle. */
-    void fire(Event *ev, Tick when, bool self_deleting);
+    void insertLadder(Event *ev);
+    void unlinkLadder(Event *ev);
+    /** Fire tail: pop bookkeeping + dispatch + recycle. */
+    void fire(Event *ev);
     /** Invoke the event body: switch on the EventKind tag. */
     void dispatch(Event *ev);
 
-    Node *acquireNode();
-    void releaseNode(Node *node);
     CallbackEvent *acquireCallback();
     void recycleCallback(CallbackEvent *ev);
 
-    /** Drop a dead entry's bookkeeping (shared by all removal paths). */
-    void
-    droppedDead(Event *ev)
-    {
-        f4t_assert(deadEntries_ > 0, "dead entry count underflow");
-        f4t_assert(ev->staleEntries_ > 0, "stale entry count underflow");
-        --deadEntries_;
-        --ev->staleEntries_;
-    }
-
     void setBit(std::size_t idx);
     void clearBit(std::size_t idx);
-    /** First non-empty bucket at or after @p from; ladderSpan if none. */
+    /** First non-empty bucket at or after @p from; numBuckets if none. */
     std::size_t findBucketFrom(std::size_t from) const;
 
-    /** Pop squashed entries off the heap top. */
-    void skipSquashed();
+    // Far-heap primitives; every move records the entry's new slot in
+    // its event.
+    void heapSet(std::size_t slot, const HeapEntry &entry);
+    void heapPush(Event *ev);
+    void heapErase(std::size_t slot);
+    void siftUp(std::size_t slot);
+    void siftDown(std::size_t slot);
     /** Move every heap entry inside the new window into the ladder. */
     void rebaseLadder();
-    /** Rebuild both containers without squashed entries. */
-    void compact();
-    void maybeCompact();
-    /** Counter cross-check; full recount only in debug builds. */
-    void checkAccounting() const;
-
-    /**
-     * Locate the next live entry: a bucket index + its head node, or
-     * node == nullptr when the ladder (and, after rebase attempts,
-     * the heap) is empty. Prunes dead head entries on the way.
-     */
-    struct Candidate
-    {
-        std::size_t bucket = 0;
-        Node *node = nullptr;
-    };
-    Candidate findCandidate();
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;
     std::size_t liveEvents_ = 0;
-    std::size_t deadEntries_ = 0;
 
     // Solo register: when the queue is otherwise empty, the sole
-    // pending event lives here instead of in a container. A simulator
-    // region driven by one self-rescheduling clock event — the
-    // steady state of every saturated-pipeline scenario — then pops
-    // and pushes through a handful of plain fields. Invariant: while
-    // soloEvent_ is set, the ladder and the heap are empty (the next
-    // push spills the occupant before inserting), so the solo entry
-    // is trivially the global minimum.
+    // pending event lives here instead of in a container. Invariant:
+    // while soloEvent_ is set, the ladder and the heap are empty (the
+    // next push spills the occupant before inserting), so the solo
+    // event is trivially the global minimum.
     Event *soloEvent_ = nullptr;
-    Tick soloWhen_ = 0;
-    int soloPriority_ = 0;
-    std::uint64_t soloSeq_ = 0;
-    std::uint64_t soloGeneration_ = 0;
-    bool soloSelfDeleting_ = false;
 
-    // Ladder state. Each bucket holds a singly linked chain, sorted
-    // by (when, priority, seq), of the entries inside its granule
-    // (the window is exactly one span wide, so bucket indices cannot
-    // alias). The sorted order makes the head the bucket minimum, and
-    // the per-bucket tail pointer makes the common ascending-key
-    // insertion an O(1) append.
+    // Ladder state. Each bucket holds a chain, sorted by key, of the
+    // events inside its granule (the window is exactly one span wide,
+    // so bucket indices cannot alias). The sorted order makes the head
+    // the bucket minimum, and the per-bucket tail pointer makes the
+    // common ascending-key insertion an O(1) append.
     Tick ladderBase_ = 0;
     std::size_t cursor_ = 0; ///< no non-empty bucket below this index
     std::size_t ladderNodes_ = 0;
-    std::vector<Node *> buckets_;
-    std::vector<Node *> tails_;
+    std::vector<Event *> buckets_;
+    std::vector<Event *> tails_;
     std::vector<std::uint64_t> bits_;
 
-    // Far-future heap (std::make_heap family, min entry at front).
+    // Far-future binary min-heap; heap_[i].event->heapSlot_ == i.
     std::vector<HeapEntry> heap_;
 
-    // Node and callback-event pools. Deques give stable addresses;
-    // free lists are threaded through the objects themselves.
-    std::deque<Node> nodeArena_;
-    Node *freeNodes_ = nullptr;
+    // Callback-event pool. The deque gives stable addresses; the free
+    // list is threaded through the events themselves.
     std::deque<CallbackEvent> callbackArena_;
     CallbackEvent *freeCallbacks_ = nullptr;
     std::size_t freeCallbackCount_ = 0;

@@ -112,9 +112,9 @@ TEST(EventQueueLowerBound, NeverExceedsNextLiveEvent)
     CountingEvent a, b;
     sim.queue().schedule(&a, 500);
     sim.queue().schedule(&b, 700);
-    sim.queue().deschedule(&a); // squashed entry may lead the queue
+    sim.queue().deschedule(&a); // removed in place, so it cannot lead
     Tick bound = sim.queue().nextEventLowerBound();
-    EXPECT_LE(bound, 700u); // conservative: early is fine, late is not
+    EXPECT_EQ(bound, 700u); // exact: the next pending event's tick
     sim.run(700);
     EXPECT_EQ(a.fired, 0);
     EXPECT_EQ(b.fired, 1);

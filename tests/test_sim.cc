@@ -112,6 +112,52 @@ TEST(EventQueue, NestedSchedulingFromCallback)
     EXPECT_EQ(stamps[1], 15u);
 }
 
+TEST(EventQueue, EventMayDestroyItselfInProcess)
+{
+    // ~Event deschedules in place and fire() never touches an event
+    // after dispatching it, so a heap-allocated event may delete
+    // itself — and any other pending event — from inside process().
+    // ASan builds catch a stray access to the freed event.
+    EventQueue queue;
+    int fired = 0;
+
+    struct SelfDeletingEvent : Event
+    {
+        int &count;
+        Event *victim = nullptr;
+        explicit SelfDeletingEvent(int &c) : count(c) {}
+        void
+        process() override
+        {
+            ++count;
+            delete victim;
+            delete this;
+        }
+    };
+
+    // Ladder neighbours in the same granule, and far-heap events.
+    auto *victim = new SelfDeletingEvent(fired);
+    auto *first = new SelfDeletingEvent(fired);
+    first->victim = victim;
+    queue.scheduleCallback(10, [&] { ++fired; });
+    queue.schedule(first, 20);
+    queue.schedule(victim, 25);
+    queue.schedule(new SelfDeletingEvent(fired),
+                   20 + 4 * EventQueue::ladderSpan);
+    queue.scheduleCallback(30, [&] { ++fired; });
+    EXPECT_EQ(queue.size(), 5u);
+    queue.run();
+    EXPECT_EQ(fired, 4); // the victim never ran
+    EXPECT_TRUE(queue.empty());
+
+    // The solo register takes the same path.
+    queue.schedule(new SelfDeletingEvent(fired), queue.now() + 5);
+    queue.scheduleCallback(queue.now() + 9, [&] { ++fired; });
+    queue.run();
+    EXPECT_EQ(fired, 6);
+    EXPECT_TRUE(queue.empty());
+}
+
 TEST(ClockDomain, PeriodsMatchPaperFrequencies)
 {
     Simulation sim;

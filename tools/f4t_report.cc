@@ -20,6 +20,8 @@
 #include "obs/regression.hh"
 #include "obs/run_meta.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,6 +43,30 @@ usage(const char *argv0)
     return 2;
 }
 
+/**
+ * Strict --noise value: a finite, non-negative decimal percentage with
+ * no trailing junk, stored as a fraction. On a bad value it says why
+ * and returns false, so the caller exits 2 instead of silently
+ * comparing with a wrong band.
+ */
+bool
+parsePercent(const char *text, double &fraction)
+{
+    char *end = nullptr;
+    errno = 0;
+    double pct = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno != 0 || !std::isfinite(pct) ||
+        pct < 0.0) {
+        std::fprintf(stderr,
+                     "f4t_report: invalid --noise value '%s' (want a "
+                     "non-negative percentage)\n",
+                     text);
+        return false;
+    }
+    fraction = pct / 100.0;
+    return true;
+}
+
 } // namespace
 
 int
@@ -52,11 +78,8 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--noise") == 0 && i + 1 < argc) {
-            noise_band = std::atof(argv[++i]) / 100.0;
-            if (noise_band < 0.0) {
-                std::fprintf(stderr, "f4t_report: bad --noise value\n");
-                return 2;
-            }
+            if (!parsePercent(argv[++i], noise_band))
+                return usage(argv[0]);
         } else if (std::strcmp(argv[i], "--allow-mismatch") == 0) {
             allow_mismatch = true;
         } else if (std::strcmp(argv[i], "--help") == 0) {
