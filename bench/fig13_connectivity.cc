@@ -35,8 +35,10 @@ runF4t(std::size_t flows, bool hbm, sim::Tick warmup, sim::Tick window)
     config.flowsPerFpc = 128;
     config.maxFlows = 131072;
     // Ping-pong flows carry one 128 B message at a time: size the TCP
-    // buffers accordingly (SO_RCVBUF-style tuning) or host memory for
-    // tens of thousands of flows dwarfs the machine running the model.
+    // buffers accordingly (SO_RCVBUF-style tuning). Host rings are
+    // backed lazily, one 1 KiB chunk per ring while a message is in
+    // flight, so host memory grows with bytes in flight, not with
+    // flows x window.
     config.tcpBufferBytes = 8 * 1024;
     config.dram = hbm ? mem::DramConfig::hbm() : mem::DramConfig::ddr4();
     testbed::EnginePairWorld world(clientThreads, config);
@@ -138,11 +140,15 @@ main(int argc, char **argv)
 
     sim::Config options;
     options.declare("maxFlows", "4096",
-                    "largest flow count in the sweep; 16384/65536 "
-                    "approach the paper's right edge but need tens of "
-                    "minutes of simulation per row");
+                    "largest flow count in the sweep (rows are 256, "
+                    "1024, 4096, 16384 and 65536; at least 256); the "
+                    "16384/65536 rows approach the paper's right edge "
+                    "but take tens of minutes of simulation each");
     options.parseArgs(argc, argv);
     std::size_t max_flows = options.getUint("maxFlows");
+    if (max_flows < 256)
+        f4t_fatal("maxFlows=%zu selects no row (the smallest is 256)",
+                  max_flows);
 
     bench::banner("Figure 13",
                   "128 B echo request rate vs concurrent flows (8 cores)");

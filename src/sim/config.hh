@@ -4,13 +4,16 @@
  *
  * Benchmarks and examples build a Config, optionally override entries
  * from command-line "key=value" arguments, and pass it down to system
- * builders. Unknown keys are a fatal user error so typos cannot
- * silently run the wrong experiment.
+ * builders. Unknown keys, arguments that are not key=value and values
+ * that do not parse whole as the requested type are fatal user errors,
+ * so typos cannot silently run the wrong experiment.
  */
 
 #ifndef F4T_SIM_CONFIG_HH
 #define F4T_SIM_CONFIG_HH
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -43,7 +46,7 @@ class Config
         it->second.value = value;
     }
 
-    /** Parse argv entries of the form key=value; others are ignored. */
+    /** Parse argv entries of the form key=value; anything else is fatal. */
     void
     parseArgs(int argc, char **argv)
     {
@@ -51,7 +54,8 @@ class Config
             std::string arg = argv[i];
             auto eq = arg.find('=');
             if (eq == std::string::npos)
-                continue;
+                f4t_fatal("config argument '%s' is not key=value",
+                          arg.c_str());
             set(arg.substr(0, eq), arg.substr(eq + 1));
         }
     }
@@ -70,19 +74,23 @@ class Config
     std::int64_t
     getInt(const std::string &key) const
     {
-        return std::stoll(getString(key));
+        return getNumber<std::int64_t>(key, "an integer");
     }
 
+    /** Unsigned: a sign is rejected, so "-1" cannot wrap to 2^64 - 1. */
     std::uint64_t
     getUint(const std::string &key) const
     {
-        return std::stoull(getString(key));
+        return getNumber<std::uint64_t>(key, "an unsigned integer");
     }
 
     double
     getDouble(const std::string &key) const
     {
-        return std::stod(getString(key));
+        double value = getNumber<double>(key, "a finite number");
+        if (!std::isfinite(value))
+            badValue(key, "a finite number");
+        return value;
     }
 
     bool
@@ -93,6 +101,28 @@ class Config
     }
 
   private:
+    /** The whole value as a T: no whitespace, leading '+', trailing
+     *  junk, overflow or empty value (std::from_chars rules). */
+    template <typename T>
+    T
+    getNumber(const std::string &key, const char *what) const
+    {
+        std::string text = getString(key);
+        T value{};
+        const char *end = text.data() + text.size();
+        auto [ptr, ec] = std::from_chars(text.data(), end, value);
+        if (ec != std::errc() || ptr != end)
+            badValue(key, what);
+        return value;
+    }
+
+    [[noreturn]] void
+    badValue(const std::string &key, const char *what) const
+    {
+        f4t_fatal("config key '%s': '%s' is not %s", key.c_str(),
+                  getString(key).c_str(), what);
+    }
+
     struct Entry
     {
         std::string value;

@@ -25,9 +25,28 @@ toString(CostCategory category)
  *  is the first payload byte after the SYN. */
 struct SoftTcpStack::Conn
 {
-    Conn(SoftConnId id_, std::size_t send_buf, std::size_t recv_buf)
-        : id(id_), txRing(send_buf), rxRing(recv_buf)
+    Conn(SoftTcpStack &stack, SoftConnId id_, std::size_t send_buf,
+         std::size_t recv_buf)
+        : id(id_), txRing(send_buf), rxRing(recv_buf), rto(stack, *this)
     {}
+
+    /** The connection's one retransmission timer: armRto reschedules
+     *  it and cancelRto deschedules it, so a superseded arm leaves
+     *  nothing queued behind. */
+    class RtoEvent : public sim::Event
+    {
+      public:
+        RtoEvent(SoftTcpStack &stack, Conn &conn)
+            : stack_(stack), conn_(conn)
+        {}
+        void process() override { stack_.onRtoFire(conn_); }
+        std::string description() const override { return "softtcp.rto"; }
+        const char *profileTag() const override { return "softtcp.rto"; }
+
+      private:
+        SoftTcpStack &stack_;
+        Conn &conn_;
+    };
 
     SoftConnId id;
     net::FourTuple tuple;
@@ -79,11 +98,10 @@ struct SoftTcpStack::Conn
     int rtxBackoff = 0;
 
     // --- timers --------------------------------------------------------------
-    std::uint64_t timerGeneration = 0;
+    RtoEvent rto;
     /** TIME_WAIT expiry has its own generation: RTO cancellations
      *  caused by late duplicate ACKs must not squash it. */
     std::uint64_t twGeneration = 0;
-    bool rtoArmed = false;
 
     std::uint64_t
     bytesInFlight() const
@@ -218,7 +236,7 @@ SoftConnId
 SoftTcpStack::connect(net::Ipv4Address remote_ip, std::uint16_t remote_port)
 {
     SoftConnId id = nextConnId_++;
-    auto conn = std::make_unique<Conn>(id, config_.sendBufBytes,
+    auto conn = std::make_unique<Conn>(*this, id, config_.sendBufBytes,
                                        config_.recvBufBytes);
     conn->tuple = net::FourTuple{config_.ip, nextEphemeralPort_++,
                                  remote_ip, remote_port};
@@ -388,7 +406,7 @@ SoftTcpStack::handleListen(const net::Packet &pkt, std::uint16_t port)
     const net::TcpHeader &tcp = pkt.tcp();
 
     SoftConnId id = nextConnId_++;
-    auto conn = std::make_unique<Conn>(id, config_.sendBufBytes,
+    auto conn = std::make_unique<Conn>(*this, id, config_.sendBufBytes,
                                        config_.recvBufBytes);
     conn->tuple = net::FourTuple{config_.ip, port, pkt.ip->src, tcp.srcPort};
     conn->peerMac = pkt.eth.src;
@@ -830,74 +848,64 @@ SoftTcpStack::armRto(Conn &conn)
     if (rto > config_.maxRtoUs)
         rto = config_.maxRtoUs;
 
-    conn.rtoArmed = true;
-    std::uint64_t generation = ++conn.timerGeneration;
-    SoftConnId id = conn.id;
-    queue().scheduleCallback(
-        now() + sim::microsecondsToTicks(rto), "softtcp.rto",
-        [this, id, generation] { onRtoFire(id, generation); });
+    queue().reschedule(&conn.rto, now() + sim::microsecondsToTicks(rto));
 }
 
 void
 SoftTcpStack::cancelRto(Conn &conn)
 {
-    conn.rtoArmed = false;
-    ++conn.timerGeneration; // squash any scheduled firing
+    queue().deschedule(&conn.rto);
 }
 
 void
-SoftTcpStack::onRtoFire(SoftConnId id, std::uint64_t generation)
+SoftTcpStack::onRtoFire(Conn &conn)
 {
-    Conn *conn = find(id);
-    if (!conn || !conn->rtoArmed || conn->timerGeneration != generation)
-        return;
-
     std::uint64_t now_us = nowUs();
 
-    switch (conn->state) {
+    switch (conn.state) {
       case ConnState::synSent:
-        ++conn->rtxBackoff;
+        ++conn.rtxBackoff;
         ++retransmits_;
-        sendControl(*conn, TcpFlags::syn, true);
-        armRto(*conn);
+        sendControl(conn, TcpFlags::syn, true);
+        armRto(conn);
         return;
       case ConnState::synRcvd:
-        ++conn->rtxBackoff;
+        ++conn.rtxBackoff;
         ++retransmits_;
-        sendControl(*conn, TcpFlags::syn | TcpFlags::ack, true);
-        armRto(*conn);
+        sendControl(conn, TcpFlags::syn | TcpFlags::ack, true);
+        armRto(conn);
         return;
       default:
         break;
     }
 
-    if (conn->sndWnd == 0 && conn->sndNxt < conn->txEnd() &&
-        conn->bytesInFlight() == 0) {
+    if (conn.sndWnd == 0 && conn.sndNxt < conn.txEnd() &&
+        conn.bytesInFlight() == 0) {
         // Zero-window probe: a single byte keeps the ACK flow alive.
-        sendSegment(*conn, conn->sndNxt, 1, false);
-        conn->sndNxt += 1;
-        armRto(*conn);
+        sendSegment(conn, conn.sndNxt, 1, false);
+        conn.sndNxt += 1;
+        armRto(conn);
         return;
     }
 
-    bool fin_outstanding = conn->finSent && !conn->finAcked;
-    if (conn->bytesInFlight() == 0 && !fin_outstanding)
-        return; // stale timer
+    bool fin_outstanding = conn.finSent && !conn.finAcked;
+    if (conn.bytesInFlight() == 0 && !fin_outstanding)
+        return; // nothing left to retransmit
 
-    ccOnTimeout(*conn, now_us);
-    ++conn->rtxBackoff;
+    ccOnTimeout(conn, now_us);
+    ++conn.rtxBackoff;
 
-    if (conn->bytesInFlight() > 0) {
-        std::uint64_t len = conn->sndNxt - conn->txRing.base();
+    if (conn.bytesInFlight() > 0) {
+        std::uint64_t len = conn.sndNxt - conn.txRing.base();
         if (len > config_.mss)
             len = config_.mss;
-        sendSegment(*conn, conn->txRing.base(),
+        sendSegment(conn, conn.txRing.base(),
                     static_cast<std::uint32_t>(len), true);
     } else if (fin_outstanding) {
         ++retransmits_;
-        sendControl(*conn, TcpFlags::fin | TcpFlags::ack);
+        sendControl(conn, TcpFlags::fin | TcpFlags::ack);
     }
-    armRto(*conn);
+    armRto(conn);
 }
 
 void

@@ -217,7 +217,7 @@ class SoftTcpStack : public sim::SimObject, public net::PacketSink
     void sendAck(Conn &conn);
     void armRto(Conn &conn);
     void cancelRto(Conn &conn);
-    void onRtoFire(SoftConnId id, std::uint64_t generation);
+    void onRtoFire(Conn &conn);
     void enterTimeWait(Conn &conn);
     void setState(Conn &conn, ConnState next);
     void destroy(SoftConnId id);

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "apps/workloads.hh"
 #include "f4t/library.hh"
 #include "harness.hh"
 #include "host/command_queue.hh"
@@ -139,6 +141,59 @@ TEST(HostMemory, SparseFlowIds)
     host::FlowBuffers &again = memory.ensure(40000);
     EXPECT_EQ(again.rxWritten, 0u);
     EXPECT_EQ(memory.flowCount(), 2u);
+}
+
+/**
+ * Many-flow echo over 8 KiB host rings: each flow has one 128 B message
+ * in flight, so the lazily backed rings of both hosts hold at most a
+ * chunk per ring, never the four 8 KiB rings a flow's capacity allows.
+ */
+TEST(HostMemory, EchoResidencyStaysBounded)
+{
+    core::EngineConfig config;
+    config.numFpcs = 2;
+    config.flowsPerFpc = 16;
+    config.maxFlows = 1024;
+    config.tcpBufferBytes = 8 * 1024;
+    test::EnginePairWorld world(2, config);
+
+    apps::F4tSocketApi server_api = world.apiB(0);
+    apps::EchoServerApp server(server_api, apps::EchoServerConfig{});
+    server.start();
+    world.sim.runFor(sim::microsecondsToTicks(20));
+
+    constexpr std::size_t flows = 320;
+    apps::F4tSocketApi client_api = world.apiA(1);
+    apps::EchoClientConfig client_config;
+    client_config.peer = testbed::ipB();
+    client_config.flows = flows;
+    client_config.connectSpacing = sim::nanosecondsToTicks(100);
+    apps::EchoClientApp client(client_api, nullptr, client_config);
+    client.start();
+
+    host::HostMemory &memory_a = world.runtimeA->memory();
+    host::HostMemory &memory_b = world.runtimeB->memory();
+    auto backed = [&](host::HostMemory &memory) {
+        std::size_t bytes = 0;
+        for (tcp::FlowId flow = 0; flow < config.maxFlows; ++flow) {
+            if (const host::FlowBuffers *buffers = memory.find(flow))
+                bytes += buffers->tx.backedBytes() + buffers->rx.backedBytes();
+        }
+        return bytes;
+    };
+    std::size_t peak = 0;
+    for (int step = 0; step < 200; ++step) {
+        world.sim.runFor(sim::microsecondsToTicks(10));
+        peak = std::max(peak, backed(memory_a) + backed(memory_b));
+    }
+
+    ASSERT_EQ(client.connectedFlows(), flows);
+    EXPECT_EQ(memory_a.flowCount(), flows);
+    EXPECT_EQ(memory_b.flowCount(), flows);
+    EXPECT_GT(client.roundTrips(), 10 * flows);
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, flows * 4 * net::ByteRing::chunkBytes)
+        << "peak backed ring bytes " << peak;
 }
 
 /**

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/byte_ring.hh"
 #include "net/checksum.hh"
 #include "net/cuckoo_hash.hh"
@@ -524,6 +527,304 @@ TEST(ByteRing, OutOfOrderWriteAtExtendsEnd)
     std::vector<std::uint8_t> out(3);
     ring.copyOut(10, out);
     EXPECT_EQ(out, chunk);
+}
+
+/**
+ * The flat ring ByteRing used to be: one zero-filled array of the full
+ * capacity, allocated up front. Kept as the reference the chunked ring
+ * must match byte for byte.
+ */
+class FlatRing
+{
+  public:
+    explicit FlatRing(std::size_t capacity) : data_(capacity) {}
+
+    std::size_t capacity() const { return data_.size(); }
+    std::uint64_t base() const { return base_; }
+    std::uint64_t end() const { return end_; }
+    std::size_t size() const { return static_cast<std::size_t>(end_ - base_); }
+    std::size_t freeSpace() const { return capacity() - size(); }
+
+    void rebase(std::uint64_t base) { base_ = end_ = base; }
+
+    std::size_t
+    append(std::span<const std::uint8_t> bytes)
+    {
+        std::size_t n = std::min(bytes.size(), freeSpace());
+        writeAt(end_, bytes.first(n));
+        return n;
+    }
+
+    void
+    writeAt(std::uint64_t offset, std::span<const std::uint8_t> bytes)
+    {
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            data_[(offset + i) % capacity()] = bytes[i];
+        end_ = std::max(end_, offset + bytes.size());
+    }
+
+    void
+    copyOut(std::uint64_t offset, std::span<std::uint8_t> out) const
+    {
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = data_[(offset + i) % capacity()];
+    }
+
+    void release(std::size_t n) { base_ += n; }
+
+  private:
+    std::vector<std::uint8_t> data_;
+    std::uint64_t base_ = 0;
+    std::uint64_t end_ = 0;
+};
+
+/**
+ * A ByteRing beside its flat reference, plus a model of which ring
+ * positions hold written bytes (reads must avoid receive holes) and of
+ * which chunks must be backed: a chunk is backed from the first write
+ * that touches it until no byte of [base, end) maps to it.
+ */
+struct RingPair
+{
+    explicit RingPair(std::size_t capacity)
+        : ring(capacity), flat(capacity), written(capacity),
+          backed((capacity + ByteRing::chunkBytes - 1) /
+                 ByteRing::chunkBytes)
+    {}
+
+    std::size_t pos(std::uint64_t offset) const
+    {
+        return static_cast<std::size_t>(offset % flat.capacity());
+    }
+
+    void
+    noteWrite(std::uint64_t offset, std::size_t len)
+    {
+        for (std::size_t i = 0; i < len; ++i) {
+            written[pos(offset + i)] = true;
+            backed[pos(offset + i) / ByteRing::chunkBytes] = true;
+        }
+    }
+
+    void
+    append(std::span<const std::uint8_t> bytes)
+    {
+        std::uint64_t at = flat.end();
+        std::size_t n = flat.append(bytes);
+        ASSERT_EQ(ring.append(bytes), n);
+        noteWrite(at, n);
+    }
+
+    void
+    writeAt(std::uint64_t offset, std::span<const std::uint8_t> bytes)
+    {
+        ring.writeAt(offset, bytes);
+        flat.writeAt(offset, bytes);
+        noteWrite(offset, bytes.size());
+    }
+
+    void
+    release(std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            written[pos(flat.base() + i)] = false;
+        ring.release(n);
+        flat.release(n);
+        dropUnretained();
+    }
+
+    void
+    rebase(std::uint64_t base)
+    {
+        ring.rebase(base);
+        flat.rebase(base);
+        std::fill(written.begin(), written.end(), false);
+        dropUnretained();
+    }
+
+    void
+    dropUnretained()
+    {
+        std::vector<bool> retained(backed.size());
+        for (std::uint64_t o = flat.base(); o < flat.end(); ++o)
+            retained[pos(o) / ByteRing::chunkBytes] = true;
+        for (std::size_t c = 0; c < backed.size(); ++c)
+            backed[c] = backed[c] && retained[c];
+    }
+
+    std::size_t
+    expectedBackedBytes() const
+    {
+        std::size_t bytes = 0;
+        for (std::size_t c = 0; c < backed.size(); ++c) {
+            if (backed[c]) {
+                bytes += std::min(ByteRing::chunkBytes,
+                                  flat.capacity() - c * ByteRing::chunkBytes);
+            }
+        }
+        return bytes;
+    }
+
+    /** Read [offset, +len) from both rings; they must agree. */
+    void
+    expectSameBytes(std::uint64_t offset, std::size_t len)
+    {
+        std::vector<std::uint8_t> got(len), want(len);
+        ring.copyOut(offset, got);
+        flat.copyOut(offset, want);
+        EXPECT_EQ(got, want) << "read [" << offset << ", +" << len << ")";
+    }
+
+    /** Compare every written run of the retained range. */
+    void
+    expectSameContents()
+    {
+        std::uint64_t o = flat.base();
+        while (o < flat.end()) {
+            if (!written[pos(o)]) {
+                ++o;
+                continue;
+            }
+            std::uint64_t run = o;
+            while (run < flat.end() && written[pos(run)])
+                ++run;
+            expectSameBytes(o, static_cast<std::size_t>(run - o));
+            o = run;
+        }
+    }
+
+    void
+    expectSameShape() const
+    {
+        EXPECT_EQ(ring.capacity(), flat.capacity());
+        EXPECT_EQ(ring.base(), flat.base());
+        EXPECT_EQ(ring.end(), flat.end());
+        EXPECT_EQ(ring.size(), flat.size());
+        EXPECT_EQ(ring.freeSpace(), flat.freeSpace());
+        EXPECT_EQ(ring.backedBytes(), expectedBackedBytes());
+    }
+
+    ByteRing ring;
+    FlatRing flat;
+    std::vector<bool> written;
+    std::vector<bool> backed;
+};
+
+std::vector<std::uint8_t>
+randomBytes(sim::Random &rng, std::size_t len)
+{
+    std::vector<std::uint8_t> bytes(len);
+    for (std::uint8_t &b : bytes)
+        b = static_cast<std::uint8_t>(rng.next());
+    return bytes;
+}
+
+TEST(ByteRing, RandomizedAgainstFlatReference)
+{
+    for (std::size_t capacity : {4, 8, 10, 16, 2500, 8192}) {
+        SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+        sim::Random rng(0xb17e5 + capacity);
+        RingPair rings(capacity);
+        // Occasionally long writes so the bigger rings fill and wrap.
+        auto length = [&](std::size_t limit) {
+            std::size_t cap = rng.chance(0.2) ? limit
+                                              : std::min<std::size_t>(
+                                                    limit, 300);
+            return static_cast<std::size_t>(rng.between(0, cap));
+        };
+        for (int step = 0; step < 3000; ++step) {
+            std::uint64_t op = rng.below(100);
+            if (op < 35) {
+                rings.append(randomBytes(rng, length(capacity + 2)));
+            } else if (op < 55) {
+                std::uint64_t offset =
+                    rings.flat.base() + rng.below(capacity);
+                std::size_t room = static_cast<std::size_t>(
+                    rings.flat.base() + capacity - offset);
+                rings.writeAt(offset, randomBytes(rng, length(room)));
+            } else if (op < 80) {
+                rings.release(static_cast<std::size_t>(
+                    rng.between(0, rings.flat.size())));
+            } else if (op < 82) {
+                rings.rebase(rings.flat.end() + rng.below(3 * capacity));
+            } else if (rings.flat.size() > 0) {
+                std::uint64_t start =
+                    rings.flat.base() + rng.below(rings.flat.size());
+                std::uint64_t stop = start;
+                std::uint64_t limit = start + length(capacity);
+                while (stop < rings.flat.end() && stop < limit &&
+                       rings.written[rings.pos(stop)])
+                    ++stop;
+                rings.expectSameBytes(start,
+                                      static_cast<std::size_t>(stop - start));
+            }
+            rings.expectSameShape();
+            if (step % 50 == 0)
+                rings.expectSameContents();
+            if (testing::Test::HasFailure())
+                return;
+        }
+        rings.release(rings.flat.size());
+        EXPECT_EQ(rings.ring.backedBytes(), 0u);
+    }
+}
+
+TEST(ByteRing, WrappedOldestAndNewestShareAChunk)
+{
+    constexpr std::size_t chunk = ByteRing::chunkBytes;
+    sim::Random rng(7);
+    RingPair rings(8 * chunk);
+    rings.append(randomBytes(rng, 8 * chunk)); // full: every chunk backed
+    rings.release(100);
+    rings.append(randomBytes(rng, 50)); // wraps into chunk 0 again
+    // Chunk 0 now holds both the oldest retained bytes [100, 1024) and
+    // the newest [0, 50). Release up to chunk 7: chunk 0 must survive
+    // for the newest bytes, chunk 7 for the new base, 1-6 must go.
+    rings.release(8 * chunk - 100 - 92);
+    EXPECT_EQ(rings.ring.backedBytes(), 2 * chunk);
+    rings.expectSameShape();
+    rings.expectSameContents();
+    // Past the wrap only chunk 0 remains.
+    rings.release(92);
+    EXPECT_EQ(rings.ring.backedBytes(), chunk);
+    rings.expectSameContents();
+}
+
+TEST(ByteRing, ReleaseToEmptyReturnsEveryChunk)
+{
+    PayloadBufferPool &pool = PayloadBufferPool::instance();
+    std::size_t outstanding = pool.outstanding();
+    sim::Random rng(11);
+    ByteRing ring(8192, 5);
+    std::vector<std::uint8_t> bytes = randomBytes(rng, 3000);
+    ring.append(bytes);
+    ring.writeAt(ring.end() + 2000, bytes); // a hole, then more data
+    EXPECT_EQ(ring.backedBytes(), 7 * ByteRing::chunkBytes);
+    EXPECT_EQ(pool.outstanding(), outstanding + 7);
+    ring.release(ring.size());
+    EXPECT_EQ(ring.backedBytes(), 0u);
+    EXPECT_EQ(pool.outstanding(), outstanding);
+
+    // Rebase likewise returns everything, and an idle ring holds none.
+    ring.append(bytes);
+    ring.rebase(0);
+    EXPECT_EQ(ring.backedBytes(), 0u);
+    EXPECT_EQ(pool.outstanding(), outstanding);
+}
+
+TEST(ByteRingDeathTest, ReadingAReceiveHoleAsserts)
+{
+    ByteRing ring(8192);
+    std::vector<std::uint8_t> bytes{9, 9, 9};
+    ring.writeAt(100, bytes);  // chunk 0 written up to 103
+    ring.writeAt(4000, bytes); // [103, 4000) is a hole
+    std::vector<std::uint8_t> out(3);
+    ring.copyOut(100, out);
+    EXPECT_EQ(out, bytes);
+    // A chunk no write reached, and the unwritten tail of one that a
+    // write did reach.
+    EXPECT_DEATH(ring.copyOut(2000, out), "past the written part");
+    EXPECT_DEATH(ring.copyOut(500, out), "past the written part");
 }
 
 // ---------------------------------------------------------------------

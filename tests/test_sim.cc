@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -323,9 +324,59 @@ TEST(Config, ParseArgsOverrides)
 {
     Config config;
     config.declare("cores", "1");
-    const char *argv[] = {"prog", "cores=8", "notakv"};
-    config.parseArgs(3, const_cast<char **>(argv));
+    const char *argv[] = {"prog", "cores=8"};
+    config.parseArgs(2, const_cast<char **>(argv));
     EXPECT_EQ(config.getInt("cores"), 8);
+}
+
+TEST(Config, StrayArgumentIsFatal)
+{
+    auto parse = [] {
+        Config config;
+        config.declare("cores", "1");
+        const char *argv[] = {"prog", "cores", "8"};
+        config.parseArgs(3, const_cast<char **>(argv));
+    };
+    EXPECT_DEATH(parse(), "config argument 'cores' is not key=value");
+}
+
+TEST(Config, NumbersParseWhole)
+{
+    Config config;
+    config.declare("n", "0");
+    config.set("n", "-3");
+    EXPECT_EQ(config.getInt("n"), -3);
+    config.set("n", "18446744073709551615");
+    EXPECT_EQ(config.getUint("n"), ~std::uint64_t{0});
+    config.set("n", "1e-3");
+    EXPECT_DOUBLE_EQ(config.getDouble("n"), 1e-3);
+
+    auto rejects = [](const char *value, auto get, const char *what) {
+        std::string pattern = "config key 'n': '";
+        for (const char *p = value; *p != '\0'; ++p) {
+            if (std::strchr(".+*?()[]{}|^$\\", *p) != nullptr)
+                pattern += '\\';
+            pattern += *p;
+        }
+        EXPECT_DEATH(
+            {
+                Config c;
+                c.declare("n", value);
+                get(c);
+            },
+            pattern + "' is not " + what)
+            << value;
+    };
+    auto get_uint = [](const Config &c) { return c.getUint("n"); };
+    auto get_int = [](const Config &c) { return c.getInt("n"); };
+    auto get_double = [](const Config &c) { return c.getDouble("n"); };
+    for (const char *bad : {"12x", "-1", "+1", "", " 4", "4 ",
+                            "18446744073709551616"})
+        rejects(bad, get_uint, "an unsigned integer");
+    for (const char *bad : {"1.5", "0x10", "", "9223372036854775808"})
+        rejects(bad, get_int, "an integer");
+    for (const char *bad : {"2.5x", "", "inf", "nan", "1e999"})
+        rejects(bad, get_double, "a finite number");
 }
 
 TEST(Config, UnknownKeyIsFatal)

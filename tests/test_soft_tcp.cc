@@ -141,6 +141,59 @@ TEST_F(SoftTcpFixture, BulkBytesArriveIntactAndInOrder)
     EXPECT_EQ(received, payload);
 }
 
+/**
+ * Every ACK of a bulk transfer re-arms the sender's retransmission
+ * timer. Each connection owns one timer event that a re-arm moves, so
+ * the queue holds the timers plus the packets on the wire, however
+ * many re-arms the transfer makes.
+ */
+TEST_F(SoftTcpFixture, RtoRearmKeepsOneQueueEntry)
+{
+    build();
+    stackB->listen(80);
+
+    std::size_t received = 0;
+    SoftTcpCallbacks callbacks_b;
+    callbacks_b.onReadable = [&](SoftConnId id, std::size_t) {
+        std::uint8_t buf[4096];
+        std::size_t n;
+        while ((n = stackB->recv(id, std::span<std::uint8_t>(buf, 4096))) >
+               0)
+            received += n;
+    };
+    stackB->setCallbacks(callbacks_b);
+
+    constexpr std::size_t total = 1'000'000;
+    std::vector<std::uint8_t> payload(8192, 0x5a);
+    std::size_t sent = 0;
+    SoftTcpCallbacks callbacks_a;
+    auto pump = [&](SoftConnId id) {
+        while (sent < total) {
+            std::size_t n = stackA->send(
+                id, std::span(payload).first(
+                        std::min<std::size_t>(payload.size(), total - sent)));
+            sent += n;
+            if (n == 0)
+                return;
+        }
+    };
+    callbacks_a.onConnected = pump;
+    callbacks_a.onWritable = pump;
+    stackA->setCallbacks(callbacks_a);
+    stackA->connect(net::Ipv4Address::fromOctets(10, 0, 0, 2), 80);
+
+    std::size_t live_peak = 0;
+    for (int step = 0; step < 400 && received < total; ++step) {
+        run(5);
+        live_peak = std::max(live_peak, sim.queue().size());
+    }
+
+    ASSERT_EQ(received, total);
+    EXPECT_GT(stackA->segmentsReceived(), 100u); // many ACKs, many re-arms
+    constexpr std::size_t connections = 2;
+    EXPECT_LE(live_peak, 16 * connections) << "peak live events";
+}
+
 TEST_F(SoftTcpFixture, RecoversFromHeavyLossExactlyOnce)
 {
     net::FaultModel faults;
