@@ -1,8 +1,10 @@
 /**
  * @file
- * Shared helpers for the per-figure benchmark binaries: a table
- * printer that shows paper-reported values next to measured ones, and
- * rate/goodput helpers.
+ * Shared helpers for the benchmark binaries: a table printer that
+ * shows paper-reported values next to measured ones, rate/goodput
+ * helpers, strict CLI values, the capture flags (Obs), and the core
+ * every perf_* harness measures and reports with (Fingerprint,
+ * Measurement, measure, writeReport).
  *
  * Each binary regenerates one table or figure from the paper. The
  * substrate is a simulator, not the authors' testbed, so the binaries
@@ -14,6 +16,7 @@
 #ifndef F4T_BENCH_BENCH_UTIL_HH
 #define F4T_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -36,21 +39,6 @@
 
 namespace f4t::bench
 {
-
-/**
- * Stamp a hand-rolled BENCH_*.json writer with the run's identity
- * (git SHA, build preset, feature gates, wall timestamp) so f4t_report
- * can refuse apples-to-oranges comparisons. Emits a `"meta": {...}`
- * member with no trailing comma. @p threads records how many worker
- * threads drove the simulation (informational; 1 = serial kernel).
- */
-inline void
-writeRunMeta(std::FILE *out, int indent, unsigned threads = 1)
-{
-    obs::RunMeta meta = obs::currentRunMeta();
-    meta.threads = threads;
-    obs::writeMetaJson(out, meta, indent);
-}
 
 /** Print the standard figure banner. */
 inline void
@@ -464,6 +452,189 @@ class Obs
     std::vector<std::unique_ptr<SimRec>> sims_;
     std::vector<std::unique_ptr<net::PcapWriter>> pcaps_;
 };
+
+/** FNV-1a over simulated quantities: stable across kernel rewrites. */
+struct Fingerprint
+{
+    std::uint64_t state = 1469598103934665603ULL;
+
+    void
+    mix(std::uint64_t value)
+    {
+        for (int i = 0; i < 8; ++i) {
+            state ^= (value >> (i * 8)) & 0xff;
+            state *= 1099511628211ULL;
+        }
+    }
+};
+
+/** A fingerprint as reports and tables print it: 16 hex digits. */
+inline std::string
+hex(std::uint64_t fingerprint)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(fingerprint));
+    return buf;
+}
+
+/**
+ * What every perf harness records about one scenario: its name, the
+ * wall time of its measured window (plus the profiler's attribution of
+ * that window under --profile), the worker threads that drove it and
+ * the fingerprint of its simulated results. Each harness derives its
+ * result struct from this and adds its own counters.
+ */
+struct Measurement
+{
+    std::string name;
+    double wallSeconds = 0;
+    /** Worker threads driving the kernel (1 = serial event loop). */
+    std::uint64_t threads = 1;
+    std::uint64_t fingerprint = 0;
+    /** Set when --profile was active during the measured window. */
+    bool profiled = false;
+    obs::ProfileReport profile;
+};
+
+/**
+ * Run @p window as @p m's measured window: record its wall time and,
+ * under --profile, the profiler's delta over it, with coverage taken
+ * against the @p threads the run could actually use.
+ */
+template <typename Window>
+void
+measure(Measurement &m, Window &&window, unsigned threads = 1)
+{
+    sim::prof::Snapshot before = sim::prof::capture();
+    auto start = std::chrono::steady_clock::now();
+    window();
+    m.wallSeconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    if (Obs::profiling()) {
+        m.profiled = true;
+        m.profile = obs::makeProfileReport(sim::prof::since(before),
+                                           m.wallSeconds, threads);
+    }
+}
+
+/** Under --profile, print each scenario's cost attribution table. */
+template <typename Result>
+void
+printProfiles(const std::vector<Result> &results)
+{
+    if (!Obs::profiling())
+        return;
+    std::printf("\nper-scenario wall-clock cost attribution:\n");
+    for (const Measurement &r : results) {
+        std::printf("%s:\n", r.name.c_str());
+        obs::printProfileTable(stdout, r.profile);
+    }
+}
+
+/**
+ * One object of a report's row array: members in the order added,
+ * then the scenario's "profile" (when it was measured under --profile
+ * and the report carries profiles) and its "fingerprint". The profile
+ * is held by pointer: keep the Measurement alive until the report is
+ * written.
+ */
+class ReportRow
+{
+  public:
+    explicit ReportRow(const Measurement &m, bool with_profile = true)
+        : profile_(with_profile && m.profiled ? &m.profile : nullptr),
+          fingerprint_(m.fingerprint), threads_(m.threads)
+    {}
+
+    ReportRow &
+    add(const char *key, std::uint64_t value)
+    {
+        return addText(key, std::to_string(value));
+    }
+
+    /** A number printed with the printf @p format (e.g. "%.3f"). */
+    ReportRow &
+    add(const char *key, const char *format, double value)
+    {
+        return addText(key, fmt(format, value));
+    }
+
+    ReportRow &
+    add(const char *key, const std::string &text)
+    {
+        return addText(key, "\"" + text + "\"");
+    }
+
+  private:
+    friend bool writeReport(const std::string &, const char *, int,
+                            const char *, const std::vector<ReportRow> &);
+
+    ReportRow &
+    addText(const char *key, std::string json)
+    {
+        members_.emplace_back(key, std::move(json));
+        return *this;
+    }
+
+    std::vector<std::pair<std::string, std::string>> members_;
+    const obs::ProfileReport *profile_;
+    std::uint64_t fingerprint_;
+    std::uint64_t threads_;
+};
+
+/**
+ * Write a BENCH_*.json report: {"bench", "schema", "meta", @p rows_key:
+ * [...]}. The meta stamps the run's identity (git SHA, build preset,
+ * feature gates, wall timestamp, the most worker threads any row used)
+ * so f4t_report can refuse apples-to-oranges comparisons. On success it
+ * prints "wrote PATH"; when the file cannot be opened, written or
+ * closed it says so on stderr and returns false, and the harness exits
+ * non-zero.
+ */
+inline bool
+writeReport(const std::string &path, const char *bench, int schema,
+            const char *rows_key, const std::vector<ReportRow> &rows)
+{
+    auto fail = [&] {
+        std::fprintf(stderr, "%s report: cannot write %s: %s\n", bench,
+                     path.c_str(), std::strerror(errno));
+        return false;
+    };
+    std::FILE *out = std::fopen(path.c_str(), "w");
+    if (!out)
+        return fail();
+    obs::RunMeta meta = obs::currentRunMeta();
+    for (const ReportRow &row : rows)
+        meta.threads = std::max(meta.threads, unsigned(row.threads_));
+    std::fprintf(out, "{\n  \"bench\": \"%s\",\n  \"schema\": %d,\n",
+                 bench, schema);
+    obs::writeMetaJson(out, meta, 2);
+    std::fprintf(out, ",\n  \"%s\": [\n", rows_key);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const ReportRow &row = rows[i];
+        std::fprintf(out, "    {\n");
+        for (const auto &[key, json] : row.members_)
+            std::fprintf(out, "      \"%s\": %s,\n", key.c_str(),
+                         json.c_str());
+        if (row.profile_) {
+            obs::writeProfileJson(out, *row.profile_, 6);
+            std::fprintf(out, ",\n");
+        }
+        std::fprintf(out,
+                     "      \"fingerprint\": \"%s\"\n"
+                     "    }%s\n",
+                     hex(row.fingerprint_).c_str(),
+                     i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(out, "  ]\n}\n");
+    bool written = !std::ferror(out);
+    if (std::fclose(out) != 0 || !written)
+        return fail();
+    std::printf("\nwrote %s\n", path.c_str());
+    return true;
+}
 
 } // namespace f4t::bench
 

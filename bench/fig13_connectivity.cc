@@ -142,8 +142,9 @@ main(int argc, char **argv)
     options.declare("maxFlows", "4096",
                     "largest flow count in the sweep (rows are 256, "
                     "1024, 4096, 16384 and 65536; at least 256); the "
-                    "16384/65536 rows approach the paper's right edge "
-                    "but take tens of minutes of simulation each");
+                    "16384/65536 rows reach the paper's right edge (the "
+                    "full sweep takes under a minute in a release "
+                    "build)");
     options.parseArgs(argc, argv);
     std::size_t max_flows = options.getUint("maxFlows");
     if (max_flows < 256)
@@ -187,10 +188,11 @@ main(int argc, char **argv)
         "\nShape check (paper): F4T leads Linux at every count (paper:\n"
         "20x at 1 K; measured 25-39x). Past the 1024 SRAM-resident\n"
         "flows, throughput is a mix of resident flows at full rate and\n"
-        "migration-bound rotation; the DRAM-vs-HBM divergence the paper\n"
-        "reports (12x vs 44x Linux at 64 K) emerges when essentially\n"
-        "all traffic is migration-bound — reach it with maxFlows=16384\n"
-        "or 65536 (tens of minutes of simulation per row). TONIC stops\n"
-        "existing past its 1 K SRAM bound.\n");
+        "migration-bound rotation. The paper's DRAM-vs-HBM divergence\n"
+        "(12x vs 44x Linux at 64 K) needs essentially all traffic to\n"
+        "be migration-bound; maxFlows=65536 adds the 16 K and 64 K\n"
+        "rows (under a minute in a release build), where this model\n"
+        "does not show it yet. TONIC stops existing past its 1 K SRAM\n"
+        "bound.\n");
     return 0;
 }

@@ -37,12 +37,11 @@
  * may only change when modeled behavior legitimately changes.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/testbed.hh"
@@ -58,20 +57,13 @@ namespace
 
 constexpr std::size_t threadsPerSide = 8;
 
-struct ScenarioResult
+struct ScenarioResult : bench::Measurement
 {
-    std::string name;
-    double wallSeconds = 0;
     std::uint64_t eventsProcessed = 0;
     sim::Tick simTicks = 0;
     std::uint64_t simPackets = 0;
     std::uint64_t flows = 0;
     std::uint64_t roundTrips = 0;
-    std::uint64_t fingerprint = 0;
-    /** Worker threads driving the kernel (1 = serial event loop). */
-    std::uint64_t threads = 1;
-    bool profiled = false;
-    obs::ProfileReport profile;
 
     double
     hostEventsPerSec() const
@@ -99,39 +91,53 @@ struct ScenarioResult
     {
         return wallSeconds > 0 ? roundTrips / wallSeconds : 0;
     }
-};
 
-/** FNV-1a over simulated quantities: stable across kernel rewrites. */
-struct Fingerprint
-{
-    std::uint64_t state = 1469598103934665603ULL;
-
-    void
-    mix(std::uint64_t value)
+    bench::ReportRow
+    row() const
     {
-        for (int i = 0; i < 8; ++i) {
-            state ^= (value >> (i * 8)) & 0xff;
-            state *= 1099511628211ULL;
-        }
+        return bench::ReportRow(*this)
+            .add("name", name)
+            .add("threads", threads)
+            .add("wall_seconds", "%.6f", wallSeconds)
+            .add("host_events_per_sec", "%.1f", hostEventsPerSec())
+            .add("events_processed", eventsProcessed)
+            .add("sim_ticks", simTicks)
+            .add("sim_packets", simPackets)
+            .add("sim_packets_per_wall_sec", "%.1f", simPacketsPerWallSec())
+            .add("sim_pkts_per_wall_sec_per_flow", "%.3f",
+                 simPacketsPerWallSecPerFlow())
+            .add("connected_flows", flows)
+            .add("round_trips", roundTrips)
+            .add("round_trips_per_wall_sec", "%.1f", roundTripsPerWallSec());
+    }
+
+    /**
+     * One point of the --flow-curve report: the serial scenario at
+     * log-spaced flow counts, so the per-flow overhead the scale
+     * ceiling imposes is a tracked artifact
+     * (bench/baselines/BENCH_flowcurve.json). The gated wall-clock
+     * metrics stay in BENCH_datapath.json; the curve records the shape
+     * and carries no profile.
+     */
+    bench::ReportRow
+    curveRow() const
+    {
+        double us_per_pkt =
+            simPackets > 0 ? wallSeconds * 1e6 / simPackets : 0;
+        return bench::ReportRow(*this, false)
+            .add("flows", flows)
+            .add("wall_seconds", "%.6f", wallSeconds)
+            .add("sim_packets", simPackets)
+            .add("round_trips", roundTrips)
+            .add("wall_us_per_sim_pkt", "%.4f", us_per_pkt)
+            .add("sim_pkts_per_wall_sec_per_flow", "%.3f",
+                 simPacketsPerWallSecPerFlow());
     }
 };
 
-double
-wallSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-}
-
-/**
- * @param flows    total concurrent connections (split across both
- *                 sides and @c threadsPerSide client threads per side)
- * @param warmup   simulated time for handshakes + ramp before measuring
- * @param window   simured measurement window
- */
-ScenarioResult
-runManyFlows(std::size_t flows, sim::Tick warmup, sim::Tick window)
+/** Engine sizing of both mesh endpoints. */
+core::EngineConfig
+meshEngine()
 {
     core::EngineConfig config;
     config.numFpcs = 8;
@@ -141,20 +147,68 @@ runManyFlows(std::size_t flows, sim::Tick warmup, sim::Tick window)
     // memory for tens of thousands of flows dwarfs the machine
     // running the model (same sizing as the Fig. 13 harness).
     config.tcpBufferBytes = 8 * 1024;
+    return config;
+}
+
+// The serial oracle keeps both endpoints in one Simulation; the
+// partitioned world gives each its own, advanced by a
+// ParallelExecutor. Both worlds share runFor(), now(), the link, the
+// runtimes and the CPUs; these two accessors cover the rest.
+sim::Simulation &
+endpointSim(testbed::EnginePairWorld &world, int)
+{
+    return world.sim;
+}
+
+sim::Simulation &
+endpointSim(testbed::ParallelEnginePairWorld &world, int side)
+{
+    return side == 0 ? world.simA : world.simB;
+}
+
+std::uint64_t
+eventsProcessed(testbed::EnginePairWorld &world)
+{
+    return world.sim.queue().eventsProcessed();
+}
+
+std::uint64_t
+eventsProcessed(testbed::ParallelEnginePairWorld &world)
+{
+    return world.executor.eventsProcessed();
+}
+
+/**
+ * The echo mesh on @p world, serial or partitioned. On the partitioned
+ * world the fingerprint mixes the same simulated quantities in the same
+ * order; it is required to be invariant under the worker count
+ * (checked in main), while application-level byte-exactness against
+ * the serial oracle is the differential fuzzer's job.
+ *
+ * @param flows    total concurrent connections (split across both
+ *                 sides and @c threadsPerSide client threads per side)
+ * @param warmup   simulated time for handshakes + ramp before measuring
+ * @param window   simulated measurement window
+ */
+template <typename World>
+ScenarioResult
+runManyFlows(World &world, std::size_t flows, sim::Tick warmup,
+             sim::Tick window)
+{
     // Each application thread owns one host queue pair (one
     // F4tLibrary per queue), so server and client threads need
-    // disjoint queues: servers take 0..threadsPerSide-1 on each side,
-    // clients the next threadsPerSide.
-    testbed::EnginePairWorld world(2 * threadsPerSide, config);
-
-    // Echo servers on both engines.
+    // disjoint queues: echo servers on both engines take
+    // 0..threadsPerSide-1 on each side, clients the next
+    // threadsPerSide.
     std::vector<std::unique_ptr<apps::F4tSocketApi>> server_apis;
     std::vector<std::unique_ptr<apps::EchoServerApp>> servers;
     for (std::size_t i = 0; i < threadsPerSide; ++i) {
         server_apis.push_back(std::make_unique<apps::F4tSocketApi>(
-            world.sim, *world.runtimeA, i, world.cpuA->core(i)));
+            endpointSim(world, 0), *world.runtimeA, i,
+            world.cpuA->core(i)));
         server_apis.push_back(std::make_unique<apps::F4tSocketApi>(
-            world.sim, *world.runtimeB, i, world.cpuB->core(i)));
+            endpointSim(world, 1), *world.runtimeB, i,
+            world.cpuB->core(i)));
         apps::EchoServerConfig server_config;
         servers.push_back(std::make_unique<apps::EchoServerApp>(
             *server_apis[server_apis.size() - 2], server_config));
@@ -163,7 +217,7 @@ runManyFlows(std::size_t flows, sim::Tick warmup, sim::Tick window)
             *server_apis.back(), server_config));
         servers.back()->start();
     }
-    world.sim.runFor(sim::microsecondsToTicks(20));
+    world.runFor(sim::microsecondsToTicks(20));
 
     // Echo clients on both sides: half the flows originate on A
     // targeting B, half on B targeting A, so requests and responses
@@ -180,121 +234,7 @@ runManyFlows(std::size_t flows, sim::Tick warmup, sim::Tick window)
         std::size_t q = threadsPerSide + i;
         for (int side = 0; side < 2; ++side) {
             client_apis.push_back(std::make_unique<apps::F4tSocketApi>(
-                world.sim, side == 0 ? *world.runtimeA : *world.runtimeB,
-                q, side == 0 ? world.cpuA->core(q) : world.cpuB->core(q)));
-            apps::EchoClientConfig client_config;
-            client_config.peer =
-                side == 0 ? testbed::ipB() : testbed::ipA();
-            client_config.flows =
-                flows / num_clients +
-                (client_index < flows % num_clients ? 1 : 0);
-            ++client_index;
-            client_config.connectSpacing = sim::nanosecondsToTicks(100);
-            clients.push_back(std::make_unique<apps::EchoClientApp>(
-                *client_apis.back(), nullptr, client_config));
-            clients.back()->start();
-        }
-    }
-
-    world.sim.runFor(warmup);
-
-    std::uint64_t events_before = world.sim.queue().eventsProcessed();
-    std::uint64_t packets_before = world.link->aToB().packetsSent() +
-                                   world.link->bToA().packetsSent();
-    std::uint64_t trips_before = 0;
-    for (auto &client : clients)
-        trips_before += client->roundTrips();
-
-    sim::prof::Snapshot prof_before = sim::prof::capture();
-    auto start = std::chrono::steady_clock::now();
-    world.sim.runFor(window);
-
-    ScenarioResult result;
-    result.name = "many_flows";
-    result.wallSeconds = wallSince(start);
-    if (bench::Obs::profiling()) {
-        result.profiled = true;
-        result.profile = obs::makeProfileReport(
-            sim::prof::since(prof_before), result.wallSeconds);
-    }
-    result.eventsProcessed =
-        world.sim.queue().eventsProcessed() - events_before;
-    result.simTicks = world.sim.now();
-    result.simPackets = world.link->aToB().packetsSent() +
-                        world.link->bToA().packetsSent() - packets_before;
-    std::uint64_t connected = 0, trips = 0;
-    for (auto &client : clients) {
-        connected += client->connectedFlows();
-        trips += client->roundTrips();
-    }
-    result.flows = connected;
-    result.roundTrips = trips - trips_before;
-
-    Fingerprint fp;
-    fp.mix(world.sim.now());
-    fp.mix(result.simPackets);
-    fp.mix(connected);
-    fp.mix(trips);
-    fp.mix(world.link->aToB().bytesSent());
-    fp.mix(world.link->bToA().bytesSent());
-    result.fingerprint = fp.state;
-    return result;
-}
-
-/**
- * The same workload on the partitioned kernel: endpoint A and
- * endpoint B each in their own Simulation, cabled by a SplitLink whose
- * 500 ns propagation delay is the conservative lookahead, advanced by
- * a ParallelExecutor at @p threads workers. The fingerprint mixes the
- * same simulated quantities in the same order as runManyFlows; it is
- * required to be invariant under @p threads (checked in main), while
- * application-level byte-exactness against the serial oracle is the
- * differential fuzzer's job.
- */
-ScenarioResult
-runManyFlowsParallel(std::size_t flows, sim::Tick warmup, sim::Tick window,
-                     std::size_t threads)
-{
-    core::EngineConfig config;
-    config.numFpcs = 8;
-    config.flowsPerFpc = 128;
-    config.maxFlows = 32768;
-    config.tcpBufferBytes = 8 * 1024;
-    testbed::ParallelEnginePairWorld world(2 * threadsPerSide, config, {},
-                                           100e9, {},
-                                           sim::nanosecondsToTicks(500),
-                                           threads);
-
-    // Echo servers on both engines (queues 0..threadsPerSide-1), then
-    // clients on the next threadsPerSide queues — the same layout as
-    // the serial harness, except every endpoint-A app binds to simA
-    // and every endpoint-B app to simB.
-    std::vector<std::unique_ptr<apps::F4tSocketApi>> server_apis;
-    std::vector<std::unique_ptr<apps::EchoServerApp>> servers;
-    for (std::size_t i = 0; i < threadsPerSide; ++i) {
-        server_apis.push_back(std::make_unique<apps::F4tSocketApi>(
-            world.simA, *world.runtimeA, i, world.cpuA->core(i)));
-        server_apis.push_back(std::make_unique<apps::F4tSocketApi>(
-            world.simB, *world.runtimeB, i, world.cpuB->core(i)));
-        apps::EchoServerConfig server_config;
-        servers.push_back(std::make_unique<apps::EchoServerApp>(
-            *server_apis[server_apis.size() - 2], server_config));
-        servers.back()->start();
-        servers.push_back(std::make_unique<apps::EchoServerApp>(
-            *server_apis.back(), server_config));
-        servers.back()->start();
-    }
-    world.runFor(sim::microsecondsToTicks(20));
-
-    std::vector<std::unique_ptr<apps::F4tSocketApi>> client_apis;
-    std::vector<std::unique_ptr<apps::EchoClientApp>> clients;
-    std::size_t num_clients = 2 * threadsPerSide;
-    std::size_t client_index = 0;
-    for (std::size_t i = 0; i < threadsPerSide; ++i) {
-        std::size_t q = threadsPerSide + i;
-        for (int side = 0; side < 2; ++side) {
-            client_apis.push_back(std::make_unique<apps::F4tSocketApi>(
-                side == 0 ? world.simA : world.simB,
+                endpointSim(world, side),
                 side == 0 ? *world.runtimeA : *world.runtimeB, q,
                 side == 0 ? world.cpuA->core(q) : world.cpuB->core(q)));
             apps::EchoClientConfig client_config;
@@ -313,36 +253,32 @@ runManyFlowsParallel(std::size_t flows, sim::Tick warmup, sim::Tick window,
 
     world.runFor(warmup);
 
-    std::uint64_t events_before = world.executor.eventsProcessed();
+    std::uint64_t events_before = eventsProcessed(world);
     std::uint64_t packets_before = world.link->aToB().packetsSent() +
                                    world.link->bToA().packetsSent();
     std::uint64_t trips_before = 0;
     for (auto &client : clients)
         trips_before += client->roundTrips();
 
-    sim::prof::Snapshot prof_before = sim::prof::capture();
-    std::vector<sim::WorkerProfile> workers_before =
-        world.executor.workerProfiles();
-    auto start = std::chrono::steady_clock::now();
-    world.runFor(window);
-
     ScenarioResult result;
-    result.name = "many_flows_t" + std::to_string(threads);
-    result.threads = threads;
-    result.wallSeconds = wallSince(start);
-    if (bench::Obs::profiling()) {
-        result.profiled = true;
+    result.name = "many_flows";
+    auto run_window = [&] { world.runFor(window); };
+    if constexpr (std::is_same_v<World, testbed::ParallelEnginePairWorld>) {
+        std::vector<sim::WorkerProfile> workers_before =
+            world.executor.workerProfiles();
         // Coverage divides by the threads a run could actually use —
         // the executor caps at the partition count (2 here), so a
         // --threads=8 request still measures against 2.
-        result.profile = obs::makeProfileReport(
-            sim::prof::since(prof_before), result.wallSeconds,
-            static_cast<unsigned>(world.executor.effectiveThreads()));
-        obs::attachWorkerProfiles(result.profile, workers_before,
-                                  world.executor.workerProfiles());
+        bench::measure(result, run_window,
+                       unsigned(world.executor.effectiveThreads()));
+        if (result.profiled) {
+            obs::attachWorkerProfiles(result.profile, workers_before,
+                                      world.executor.workerProfiles());
+        }
+    } else {
+        bench::measure(result, run_window);
     }
-    result.eventsProcessed =
-        world.executor.eventsProcessed() - events_before;
+    result.eventsProcessed = eventsProcessed(world) - events_before;
     result.simTicks = world.now();
     result.simPackets = world.link->aToB().packetsSent() +
                         world.link->bToA().packetsSent() - packets_before;
@@ -354,7 +290,7 @@ runManyFlowsParallel(std::size_t flows, sim::Tick warmup, sim::Tick window,
     result.flows = connected;
     result.roundTrips = trips - trips_before;
 
-    Fingerprint fp;
+    bench::Fingerprint fp;
     fp.mix(world.now());
     fp.mix(result.simPackets);
     fp.mix(connected);
@@ -363,112 +299,6 @@ runManyFlowsParallel(std::size_t flows, sim::Tick warmup, sim::Tick window,
     fp.mix(world.link->bToA().bytesSent());
     result.fingerprint = fp.state;
     return result;
-}
-
-/**
- * Flow-count sweep (--flow-curve): the serial scenario at log-spaced
- * counts from 2 to the --flows ceiling, so the per-flow overhead the
- * scale ceiling imposes is a tracked artifact
- * (bench/baselines/BENCH_flowcurve.json) rather than a one-off
- * observation. The gated wall-clock metrics stay in BENCH_datapath.json;
- * the curve file records the shape.
- */
-void
-writeCurveJson(const std::string &path,
-               const std::vector<ScenarioResult> &points)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "perf_datapath: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    std::fprintf(out,
-                 "{\n  \"bench\": \"datapath_flowcurve\",\n"
-                 "  \"schema\": 1,\n");
-    bench::writeRunMeta(out, 2, 1);
-    std::fprintf(out, ",\n  \"points\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const ScenarioResult &r = points[i];
-        double us_per_pkt =
-            r.simPackets > 0 ? r.wallSeconds * 1e6 / r.simPackets : 0;
-        std::fprintf(out,
-                     "    {\n"
-                     "      \"flows\": %llu,\n"
-                     "      \"wall_seconds\": %.6f,\n"
-                     "      \"sim_packets\": %llu,\n"
-                     "      \"round_trips\": %llu,\n"
-                     "      \"wall_us_per_sim_pkt\": %.4f,\n"
-                     "      \"sim_pkts_per_wall_sec_per_flow\": %.3f,\n"
-                     "      \"fingerprint\": \"%016llx\"\n"
-                     "    }%s\n",
-                     static_cast<unsigned long long>(r.flows),
-                     r.wallSeconds,
-                     static_cast<unsigned long long>(r.simPackets),
-                     static_cast<unsigned long long>(r.roundTrips),
-                     us_per_pkt, r.simPacketsPerWallSecPerFlow(),
-                     static_cast<unsigned long long>(r.fingerprint),
-                     i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-}
-
-void
-writeJson(const std::string &path, const std::vector<ScenarioResult> &results)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "perf_datapath: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    unsigned max_threads = 1;
-    for (const ScenarioResult &r : results)
-        max_threads = std::max(max_threads, unsigned(r.threads));
-
-    std::fprintf(out, "{\n  \"bench\": \"datapath\",\n  \"schema\": 5,\n");
-    bench::writeRunMeta(out, 2, max_threads);
-    std::fprintf(out, ",\n  \"scenarios\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ScenarioResult &r = results[i];
-        std::fprintf(out,
-                     "    {\n"
-                     "      \"name\": \"%s\",\n"
-                     "      \"threads\": %llu,\n"
-                     "      \"wall_seconds\": %.6f,\n"
-                     "      \"host_events_per_sec\": %.1f,\n"
-                     "      \"events_processed\": %llu,\n"
-                     "      \"sim_ticks\": %llu,\n"
-                     "      \"sim_packets\": %llu,\n"
-                     "      \"sim_packets_per_wall_sec\": %.1f,\n"
-                     "      \"sim_pkts_per_wall_sec_per_flow\": %.3f,\n"
-                     "      \"connected_flows\": %llu,\n"
-                     "      \"round_trips\": %llu,\n"
-                     "      \"round_trips_per_wall_sec\": %.1f,\n",
-                     r.name.c_str(),
-                     static_cast<unsigned long long>(r.threads),
-                     r.wallSeconds, r.hostEventsPerSec(),
-                     static_cast<unsigned long long>(r.eventsProcessed),
-                     static_cast<unsigned long long>(r.simTicks),
-                     static_cast<unsigned long long>(r.simPackets),
-                     r.simPacketsPerWallSec(),
-                     r.simPacketsPerWallSecPerFlow(),
-                     static_cast<unsigned long long>(r.flows),
-                     static_cast<unsigned long long>(r.roundTrips),
-                     r.roundTripsPerWallSec());
-        if (r.profiled) {
-            obs::writeProfileJson(out, r.profile, 6);
-            std::fprintf(out, ",\n");
-        }
-        std::fprintf(out,
-                     "      \"fingerprint\": \"%016llx\"\n"
-                     "    }%s\n",
-                     static_cast<unsigned long long>(r.fingerprint),
-                     i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
 }
 
 } // namespace
@@ -552,6 +382,22 @@ main(int argc, char **argv)
 
     sim::Tick warmup = sim::microsecondsToTicks(warmup_us);
     sim::Tick window = sim::microsecondsToTicks(window_us);
+    auto serial = [&](std::size_t n, sim::Tick mesh_warmup) {
+        testbed::EnginePairWorld world(2 * threadsPerSide, meshEngine());
+        return runManyFlows(world, n, mesh_warmup, window);
+    };
+    // Endpoint A and endpoint B each in their own Simulation, cabled
+    // by a SplitLink whose 500 ns propagation delay is the
+    // conservative lookahead.
+    auto partitioned = [&](std::size_t workers) {
+        testbed::ParallelEnginePairWorld world(
+            2 * threadsPerSide, meshEngine(), {}, 100e9, {},
+            sim::nanosecondsToTicks(500), workers);
+        ScenarioResult r = runManyFlows(world, flows, warmup, window);
+        r.name += "_t" + std::to_string(workers);
+        r.threads = workers;
+        return r;
+    };
 
     if (flow_curve) {
         // Log-spaced flow counts (x4 per step) up to the --flows
@@ -562,32 +408,29 @@ main(int argc, char **argv)
                                                       512, 2048, 10240};
         if (out_path == "BENCH_datapath.json")
             out_path = "BENCH_flowcurve.json";
-        std::vector<ScenarioResult> curve;
+        std::vector<bench::ReportRow> rows;
         bench::Table table({"flows", "wall s", "sim pkts", "trips",
                             "pkt/s/flow", "fingerprint"});
         for (std::size_t n : curvePoints) {
             if (n > flows)
                 break;
-            sim::Tick point_warmup = sim::microsecondsToTicks(
-                static_cast<sim::Tick>(200 + n * 1.2));
-            ScenarioResult r = runManyFlows(n, point_warmup, window);
-            r.name = "many_flows_" + std::to_string(n);
-            curve.push_back(r);
-            char fp[32];
-            std::snprintf(fp, sizeof(fp), "%016llx",
-                          static_cast<unsigned long long>(r.fingerprint));
+            ScenarioResult r = serial(
+                n, sim::microsecondsToTicks(
+                       static_cast<sim::Tick>(200 + n * 1.2)));
             table.addRow({std::to_string(r.flows),
                           bench::fmt("%.3f", r.wallSeconds),
                           std::to_string(r.simPackets),
                           std::to_string(r.roundTrips),
                           bench::fmt("%.3f",
                                      r.simPacketsPerWallSecPerFlow()),
-                          fp});
+                          bench::hex(r.fingerprint)});
+            rows.push_back(r.curveRow());
         }
         table.print();
-        writeCurveJson(out_path, curve);
-        std::printf("\nwrote %s\n", out_path.c_str());
-        return 0;
+        return bench::writeReport(out_path, "datapath_flowcurve", 1,
+                                  "points", rows)
+                   ? 0
+                   : 1;
     }
 
     // Serial oracle first, then the partitioned kernel — always at one
@@ -595,19 +438,16 @@ main(int argc, char **argv)
     // --threads workers when that is more than one. --smoke therefore
     // exercises both executors on every ctest run.
     std::vector<ScenarioResult> results;
-    results.push_back(runManyFlows(flows, warmup, window));
-    results.push_back(runManyFlowsParallel(flows, warmup, window, 1));
+    results.push_back(serial(flows, warmup));
+    results.push_back(partitioned(1));
     if (threads > 1)
-        results.push_back(
-            runManyFlowsParallel(flows, warmup, window, threads));
+        results.push_back(partitioned(threads));
 
     bench::Table table({"scenario", "thr", "flows", "wall s", "events",
                         "Mev/s (host)", "sim pkts", "kpkt/s (host)",
                         "trips", "fingerprint"});
+    std::vector<bench::ReportRow> rows;
     for (const ScenarioResult &r : results) {
-        char fp[32];
-        std::snprintf(fp, sizeof(fp), "%016llx",
-                      static_cast<unsigned long long>(r.fingerprint));
         table.addRow({r.name, std::to_string(r.threads),
                       std::to_string(r.flows),
                       bench::fmt("%.3f", r.wallSeconds),
@@ -615,17 +455,12 @@ main(int argc, char **argv)
                       bench::fmt("%.2f", r.hostEventsPerSec() / 1e6),
                       std::to_string(r.simPackets),
                       bench::fmt("%.1f", r.simPacketsPerWallSec() / 1e3),
-                      std::to_string(r.roundTrips), fp});
+                      std::to_string(r.roundTrips),
+                      bench::hex(r.fingerprint)});
+        rows.push_back(r.row());
     }
     table.print();
-
-    if (bench::Obs::profiling()) {
-        std::printf("\nper-scenario wall-clock cost attribution:\n");
-        for (const ScenarioResult &r : results) {
-            std::printf("%s:\n", r.name.c_str());
-            obs::printProfileTable(stdout, r.profile);
-        }
-    }
+    bench::printProfiles(results);
 
     // Determinism cross-check: every parallel scenario ran the same
     // partitioned world, so their fingerprints must agree bit-for-bit
@@ -652,7 +487,7 @@ main(int argc, char **argv)
         }
     }
 
-    writeJson(out_path, results);
-    std::printf("\nwrote %s\n", out_path.c_str());
-    return 0;
+    return bench::writeReport(out_path, "datapath", 5, "scenarios", rows)
+               ? 0
+               : 1;
 }

@@ -40,7 +40,6 @@
  * kernel is optimised — only wall_seconds / *_per_sec may move.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -58,16 +57,11 @@ namespace f4t
 namespace
 {
 
-struct ScenarioResult
+struct ScenarioResult : bench::Measurement
 {
-    std::string name;
-    double wallSeconds = 0;
     std::uint64_t eventsProcessed = 0;
     sim::Tick simTicks = 0;
     std::uint64_t simPackets = 0;
-    std::uint64_t fingerprint = 0;
-    bool profiled = false;
-    obs::ProfileReport profile;
 
     double
     hostEventsPerSec() const
@@ -90,41 +84,22 @@ struct ScenarioResult
         return wallSeconds > 0 ? static_cast<double>(simTicks) / wallSeconds
                                : 0;
     }
-};
 
-/** Profile delta over the measured interval, when --profile is on. */
-void
-attachProfile(ScenarioResult &result, const sim::prof::Snapshot &before)
-{
-    if (!bench::Obs::profiling())
-        return;
-    result.profiled = true;
-    result.profile = obs::makeProfileReport(sim::prof::since(before),
-                                            result.wallSeconds);
-}
-
-/** FNV-1a over simulated quantities: stable across kernel rewrites. */
-struct Fingerprint
-{
-    std::uint64_t state = 1469598103934665603ULL;
-
-    void
-    mix(std::uint64_t value)
+    bench::ReportRow
+    row() const
     {
-        for (int i = 0; i < 8; ++i) {
-            state ^= (value >> (i * 8)) & 0xff;
-            state *= 1099511628211ULL;
-        }
+        return bench::ReportRow(*this)
+            .add("name", name)
+            .add("wall_seconds", "%.6f", wallSeconds)
+            .add("host_events_per_sec", "%.1f", hostEventsPerSec())
+            .add("events_processed", eventsProcessed)
+            .add("sim_ticks", simTicks)
+            .add("sim_ticks_per_wall_sec", "%.1f", simTicksPerWallSec())
+            .add("sim_packets", simPackets)
+            .add("sim_packets_per_wall_sec", "%.1f",
+                 simPacketsPerWallSec());
     }
 };
-
-double
-wallSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-}
 
 /**
  * The Fig. 15 event-rate path: one FPC with 16 synthetic established
@@ -170,40 +145,37 @@ runEventRate(sim::Tick window)
     std::vector<std::uint32_t> offsets(flows, 0);
     sim.runFor(sim::microsecondsToTicks(1)); // settle installs
 
-    sim::prof::Snapshot prof_before = sim::prof::capture();
-    auto start = std::chrono::steady_clock::now();
-    std::uint64_t injected = 0;
-    sim::Tick end = sim.now() + window;
-    while (sim.now() < end) {
-        {
-            // Injection runs outside the event loop; attribute it so
-            // the category sum still covers the measured wall time.
-            sim::prof::Scope inject_scope(sim::prof::Cat::harness);
-            while (fpc.inputBacklog() < 64) {
-                tcp::FlowId flow =
-                    static_cast<tcp::FlowId>(injected % flows);
-                offsets[flow] += 16;
-                tcp::TcpEvent ev;
-                ev.flow = flow;
-                ev.type = tcp::TcpEventType::userSend;
-                ev.pointer = tcp::FpuProgram::initialSequence(flow) + 1 +
-                             offsets[flow];
-                fpc.enqueueEvent(ev);
-                ++injected;
-            }
-        }
-        sim.runFor(sim.engineClock().period() * 16);
-    }
-
     ScenarioResult result;
     result.name = "event_rate";
-    result.wallSeconds = wallSince(start);
-    attachProfile(result, prof_before);
+    std::uint64_t injected = 0;
+    sim::Tick end = sim.now() + window;
+    bench::measure(result, [&] {
+        while (sim.now() < end) {
+            {
+                // Injection runs outside the event loop; attribute it
+                // so the category sum still covers the measured wall
+                // time.
+                sim::prof::Scope inject_scope(sim::prof::Cat::harness);
+                while (fpc.inputBacklog() < 64) {
+                    tcp::FlowId flow =
+                        static_cast<tcp::FlowId>(injected % flows);
+                    offsets[flow] += 16;
+                    tcp::TcpEvent ev;
+                    ev.flow = flow;
+                    ev.type = tcp::TcpEventType::userSend;
+                    ev.pointer = tcp::FpuProgram::initialSequence(flow) +
+                                 1 + offsets[flow];
+                    fpc.enqueueEvent(ev);
+                    ++injected;
+                }
+            }
+            sim.runFor(sim.engineClock().period() * 16);
+        }
+    });
     result.eventsProcessed = sim.queue().eventsProcessed();
     result.simTicks = sim.now();
-    result.simPackets = 0;
 
-    Fingerprint fp;
+    bench::Fingerprint fp;
     fp.mix(sim.now());
     fp.mix(sim.queue().eventsProcessed());
     fp.mix(fpc.eventsHandled());
@@ -240,20 +212,15 @@ runBulkTransfer(sim::Tick window)
     apps::BulkSenderApp sender(send_api, sender_config);
     sender.start();
 
-    sim::prof::Snapshot prof_before = sim::prof::capture();
-    auto start = std::chrono::steady_clock::now();
-    world.sim.runFor(window);
-
     ScenarioResult result;
     result.name = "bulk_transfer";
-    result.wallSeconds = wallSince(start);
-    attachProfile(result, prof_before);
+    bench::measure(result, [&] { world.sim.runFor(window); });
     result.eventsProcessed = world.sim.queue().eventsProcessed();
     result.simTicks = world.sim.now();
     result.simPackets = world.link->aToB().packetsSent() +
                         world.link->bToA().packetsSent();
 
-    Fingerprint fp;
+    bench::Fingerprint fp;
     fp.mix(world.sim.now());
     fp.mix(world.sim.queue().eventsProcessed());
     fp.mix(result.simPackets);
@@ -262,49 +229,6 @@ runBulkTransfer(sim::Tick window)
     fp.mix(world.link->bToA().bytesSent());
     result.fingerprint = fp.state;
     return result;
-}
-
-void
-writeJson(const std::string &path, const std::vector<ScenarioResult> &results)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "perf_kernel: cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "{\n  \"bench\": \"kernel\",\n  \"schema\": 5,\n");
-    bench::writeRunMeta(out, 2);
-    std::fprintf(out, ",\n  \"scenarios\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ScenarioResult &r = results[i];
-        std::fprintf(out,
-                     "    {\n"
-                     "      \"name\": \"%s\",\n"
-                     "      \"wall_seconds\": %.6f,\n"
-                     "      \"host_events_per_sec\": %.1f,\n"
-                     "      \"events_processed\": %llu,\n"
-                     "      \"sim_ticks\": %llu,\n"
-                     "      \"sim_ticks_per_wall_sec\": %.1f,\n"
-                     "      \"sim_packets\": %llu,\n"
-                     "      \"sim_packets_per_wall_sec\": %.1f,\n",
-                     r.name.c_str(), r.wallSeconds, r.hostEventsPerSec(),
-                     static_cast<unsigned long long>(r.eventsProcessed),
-                     static_cast<unsigned long long>(r.simTicks),
-                     r.simTicksPerWallSec(),
-                     static_cast<unsigned long long>(r.simPackets),
-                     r.simPacketsPerWallSec());
-        if (r.profiled) {
-            obs::writeProfileJson(out, r.profile, 6);
-            std::fprintf(out, ",\n");
-        }
-        std::fprintf(out,
-                     "      \"fingerprint\": \"%016llx\"\n"
-                     "    }%s\n",
-                     static_cast<unsigned long long>(r.fingerprint),
-                     i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
 }
 
 } // namespace
@@ -358,28 +282,19 @@ main(int argc, char **argv)
 
     bench::Table table({"scenario", "wall s", "events", "Mev/s (host)",
                         "sim pkts", "kpkt/s (host)", "fingerprint"});
+    std::vector<bench::ReportRow> rows;
     for (const ScenarioResult &r : results) {
-        char fp[32];
-        std::snprintf(fp, sizeof(fp), "%016llx",
-                      static_cast<unsigned long long>(r.fingerprint));
         table.addRow({r.name, bench::fmt("%.3f", r.wallSeconds),
                       std::to_string(r.eventsProcessed),
                       bench::fmt("%.2f", r.hostEventsPerSec() / 1e6),
                       std::to_string(r.simPackets),
                       bench::fmt("%.1f", r.simPacketsPerWallSec() / 1e3),
-                      fp});
+                      bench::hex(r.fingerprint)});
+        rows.push_back(r.row());
     }
     table.print();
+    bench::printProfiles(results);
 
-    if (bench::Obs::profiling()) {
-        std::printf("\nper-scenario wall-clock cost attribution:\n");
-        for (const ScenarioResult &r : results) {
-            std::printf("%s:\n", r.name.c_str());
-            obs::printProfileTable(stdout, r.profile);
-        }
-    }
-
-    writeJson(out_path, results);
-    std::printf("\nwrote %s\n", out_path.c_str());
-    return 0;
+    return bench::writeReport(out_path, "kernel", 5, "scenarios", rows) ? 0
+                                                                        : 1;
 }

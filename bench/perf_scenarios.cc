@@ -40,7 +40,6 @@
  * modeled behavior legitimately changes.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -52,8 +51,6 @@
 #include "bench_util.hh"
 #include "load/open_loop.hh"
 #include "load/syn_flood.hh"
-#include "obs/profiler.hh"
-#include "sim/profile_scope.hh"
 #include "sim/simulation.hh"
 
 namespace f4t
@@ -61,12 +58,9 @@ namespace f4t
 namespace
 {
 
-struct ScenarioResult
+struct ScenarioResult : bench::Measurement
 {
-    std::string name;
-    double wallSeconds = 0;
     double windowSeconds = 0;
-    std::uint64_t threads = 1;
     std::uint64_t requestsIssued = 0;
     std::uint64_t requestsCompleted = 0;
     std::uint64_t goodputBytes = 0;
@@ -77,10 +71,6 @@ struct ScenarioResult
     /** Churn only: completed connection lifecycles per second. */
     double connsPerSec = 0;
     bool hasConnRate = false;
-    std::uint64_t fingerprint = 0;
-    /** Set when --profile was active during the measured window. */
-    bool profiled = false;
-    obs::ProfileReport profile;
 
     double
     requestsPerSec() const
@@ -95,41 +85,26 @@ struct ScenarioResult
                    ? goodputBytes * 8.0 / windowSeconds / 1e9
                    : 0;
     }
-};
 
-/** FNV-1a over simulated quantities: stable across harness rewrites. */
-struct Fingerprint
-{
-    std::uint64_t state = 1469598103934665603ULL;
-
-    void
-    mix(std::uint64_t value)
+    bench::ReportRow
+    row() const
     {
-        for (int i = 0; i < 8; ++i) {
-            state ^= (value >> (i * 8)) & 0xff;
-            state *= 1099511628211ULL;
-        }
+        bench::ReportRow row(*this);
+        row.add("name", name)
+            .add("threads", threads)
+            .add("wall_seconds", "%.6f", wallSeconds)
+            .add("requests", requestsCompleted)
+            .add("requests_per_sec", "%.1f", requestsPerSec())
+            .add("goodput_gbps", "%.4f", goodputGbps())
+            .add("p50_us", "%.3f", p50Us)
+            .add("p99_us", "%.3f", p99Us)
+            .add("p999_us", "%.3f", p999Us)
+            .add("switch_drops", switchDrops);
+        if (hasConnRate)
+            row.add("conns_per_sec", "%.1f", connsPerSec);
+        return row;
     }
 };
-
-double
-wallSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-}
-
-/** Under --profile, attribute the measured window's profiler delta. */
-void
-attachProfile(ScenarioResult &result, const sim::prof::Snapshot &before)
-{
-    if (!bench::Obs::profiling())
-        return;
-    result.profiled = true;
-    result.profile = obs::makeProfileReport(sim::prof::since(before),
-                                            result.wallSeconds);
-}
 
 /** Engine sizing shared by every scenario host. */
 core::EngineConfig
@@ -233,14 +208,9 @@ runOpenLoop(const OpenLoopScenario &sc)
     std::uint64_t drops0 = world.fabric->totalDropped();
     latency.reset();
 
-    sim::prof::Snapshot prof_before = sim::prof::capture();
-    auto wall0 = std::chrono::steady_clock::now();
-    world.sim.runFor(sc.window);
-
     ScenarioResult result;
     result.name = sc.name;
-    result.wallSeconds = wallSince(wall0);
-    attachProfile(result, prof_before);
+    bench::measure(result, [&] { world.sim.runFor(sc.window); });
     result.windowSeconds =
         static_cast<double>(sc.window) / sim::ticksPerSecond;
     std::uint64_t goodput1 = server.valueBytesIn();
@@ -257,7 +227,7 @@ runOpenLoop(const OpenLoopScenario &sc)
     result.p999Us = latency.percentile(99.9);
     result.switchDrops = world.fabric->totalDropped() - drops0;
 
-    Fingerprint fp;
+    bench::Fingerprint fp;
     fp.mix(world.sim.now());
     for (const auto &c : clients) {
         fp.mix(c->issued());
@@ -345,14 +315,9 @@ runChurn(const std::string &name, std::size_t num_clients,
     std::uint64_t drops0 = world.fabric->totalDropped();
     lifecycle.reset();
 
-    sim::prof::Snapshot prof_before = sim::prof::capture();
-    auto wall0 = std::chrono::steady_clock::now();
-    world.sim.runFor(window);
-
     ScenarioResult result;
     result.name = name;
-    result.wallSeconds = wallSince(wall0);
-    attachProfile(result, prof_before);
+    bench::measure(result, [&] { world.sim.runFor(window); });
     result.windowSeconds =
         static_cast<double>(window) / sim::ticksPerSecond;
     std::uint64_t bytes1 = 0;
@@ -374,7 +339,7 @@ runChurn(const std::string &name, std::size_t num_clients,
                              : 0;
     result.hasConnRate = true;
 
-    Fingerprint fp;
+    bench::Fingerprint fp;
     fp.mix(world.sim.now());
     for (const auto &c : clients) {
         fp.mix(c->opened());
@@ -390,61 +355,6 @@ runChurn(const std::string &name, std::size_t num_clients,
     fp.mix(world.serverLink->bToA().packetsSent());
     result.fingerprint = fp.state;
     return result;
-}
-
-void
-writeJson(const std::string &path,
-          const std::vector<ScenarioResult> &results)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "perf_scenarios: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    unsigned max_threads = 1;
-    for (const ScenarioResult &r : results)
-        max_threads = std::max(max_threads, unsigned(r.threads));
-
-    std::fprintf(out, "{\n  \"bench\": \"scenarios\",\n  \"schema\": 5,\n");
-    bench::writeRunMeta(out, 2, max_threads);
-    std::fprintf(out, ",\n  \"scenarios\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ScenarioResult &r = results[i];
-        std::fprintf(out,
-                     "    {\n"
-                     "      \"name\": \"%s\",\n"
-                     "      \"threads\": %llu,\n"
-                     "      \"wall_seconds\": %.6f,\n"
-                     "      \"requests\": %llu,\n"
-                     "      \"requests_per_sec\": %.1f,\n"
-                     "      \"goodput_gbps\": %.4f,\n"
-                     "      \"p50_us\": %.3f,\n"
-                     "      \"p99_us\": %.3f,\n"
-                     "      \"p999_us\": %.3f,\n"
-                     "      \"switch_drops\": %llu,\n",
-                     r.name.c_str(),
-                     static_cast<unsigned long long>(r.threads),
-                     r.wallSeconds,
-                     static_cast<unsigned long long>(r.requestsCompleted),
-                     r.requestsPerSec(), r.goodputGbps(), r.p50Us,
-                     r.p99Us, r.p999Us,
-                     static_cast<unsigned long long>(r.switchDrops));
-        if (r.hasConnRate)
-            std::fprintf(out, "      \"conns_per_sec\": %.1f,\n",
-                         r.connsPerSec);
-        if (r.profiled) {
-            obs::writeProfileJson(out, r.profile, 6);
-            std::fprintf(out, ",\n");
-        }
-        std::fprintf(out,
-                     "      \"fingerprint\": \"%016llx\"\n"
-                     "    }%s\n",
-                     static_cast<unsigned long long>(r.fingerprint),
-                     i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
 }
 
 } // namespace
@@ -549,27 +459,20 @@ main(int argc, char **argv)
     bench::Table table({"scenario", "reqs", "req/s", "goodput Gb/s",
                         "p50 us", "p99 us", "p999 us", "drops",
                         "fingerprint"});
+    std::vector<bench::ReportRow> rows;
     for (const ScenarioResult &r : results) {
-        char fp[32];
-        std::snprintf(fp, sizeof(fp), "%016llx",
-                      static_cast<unsigned long long>(r.fingerprint));
         table.addRow({r.name, std::to_string(r.requestsCompleted),
                       bench::fmt("%.0f", r.requestsPerSec()),
                       bench::fmt("%.3f", r.goodputGbps()),
                       bench::fmt("%.2f", r.p50Us),
                       bench::fmt("%.2f", r.p99Us),
                       bench::fmt("%.2f", r.p999Us),
-                      std::to_string(r.switchDrops), fp});
+                      std::to_string(r.switchDrops),
+                      bench::hex(r.fingerprint)});
+        rows.push_back(r.row());
     }
     table.print();
-
-    if (bench::Obs::profiling()) {
-        std::printf("\nper-scenario wall-clock cost attribution:\n");
-        for (const ScenarioResult &r : results) {
-            std::printf("%s:\n", r.name.c_str());
-            obs::printProfileTable(stdout, r.profile);
-        }
-    }
+    bench::printProfiles(results);
 
     // Determinism cross-check: rebuild and re-run the incast scenario
     // from scratch; the fingerprint hashes simulated quantities only,
@@ -586,7 +489,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    writeJson(out_path, results);
-    std::printf("\nwrote %s\n", out_path.c_str());
-    return 0;
+    return bench::writeReport(out_path, "scenarios", 5, "scenarios", rows)
+               ? 0
+               : 1;
 }

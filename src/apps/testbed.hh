@@ -125,6 +125,10 @@ struct EnginePairWorld
                                   cpuB->core(thread));
     }
 
+    /** Same run/clock surface as ParallelEnginePairWorld. */
+    sim::Tick runFor(sim::Tick d) { return sim.runFor(d); }
+    sim::Tick now() const { return sim.now(); }
+
     sim::Simulation sim;
     std::unique_ptr<core::FtEngine> engineA;
     std::unique_ptr<core::FtEngine> engineB;

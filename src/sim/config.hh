@@ -93,13 +93,6 @@ class Config
         return value;
     }
 
-    bool
-    getBool(const std::string &key) const
-    {
-        std::string v = getString(key);
-        return v == "1" || v == "true" || v == "yes" || v == "on";
-    }
-
   private:
     /** The whole value as a T: no whitespace, leading '+', trailing
      *  junk, overflow or empty value (std::from_chars rules). */

@@ -311,13 +311,11 @@ TEST(Config, DeclareSetAndTypedGet)
     Config config;
     config.declare("flows", "64", "number of flows");
     config.declare("rate", "2.5");
-    config.declare("enabled", "true");
 
     EXPECT_EQ(config.getInt("flows"), 64);
     config.set("flows", "128");
     EXPECT_EQ(config.getUint("flows"), 128u);
     EXPECT_DOUBLE_EQ(config.getDouble("rate"), 2.5);
-    EXPECT_TRUE(config.getBool("enabled"));
 }
 
 TEST(Config, ParseArgsOverrides)
