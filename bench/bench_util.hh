@@ -162,7 +162,8 @@ parseCount(const char *flag, const char *text, T &out, std::uint64_t min,
  * and link construction so capture needs no per-binary wiring:
  *
  *   --trace=SPEC            per-module text tracepoints (glob over flag
- *                           names, '-' negates: "fpc,sched*,-timer")
+ *                           names, '-' negates: "fpc,sched*,-timer");
+ *                           a pattern that names no flag exits 2
  *   --pcap=PATH             one .pcap (+ .index sidecar) per Link
  *   --timeline=PATH         Chrome trace-event JSON per Simulation
  *   --stat-sample=PATH[@US] stat time-series CSV per Simulation,
@@ -258,6 +259,14 @@ class Obs
         for (int i = 1; i < argc; ++i) {
             const char *v;
             if ((v = value_of(argv[i], "--trace="))) {
+                std::string bad = sim::trace::unmatchedPattern(v);
+                if (!bad.empty()) {
+                    std::fprintf(stderr,
+                                 "obs: invalid --trace pattern '%s' "
+                                 "(matches no trace flag; try '*')\n",
+                                 bad.c_str());
+                    std::exit(2);
+                }
                 sim::trace::setFlags(v);
             } else if ((v = value_of(argv[i], "--pcap="))) {
                 pcapPath_ = v;

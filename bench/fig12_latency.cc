@@ -7,8 +7,6 @@
  * (3.7x median, 26x p99 in the paper).
  */
 
-#include <cstring>
-
 #include "bench_util.hh"
 #include "nginx_common.hh"
 #include "obs/stage_report.hh"
@@ -27,13 +25,6 @@ int
 runSpansMode(const std::string &out_path)
 {
     using namespace f4t;
-    if (!sim::trace::compiledIn) {
-        std::fprintf(stderr,
-                     "fig12: --spans needs a build with "
-                     "F4T_ENABLE_TRACE=ON (the release preset compiles "
-                     "the tracer out)\n");
-        return 2;
-    }
     bench::banner("Figure 12 (spans)",
                   "per-stage latency from causal-trace spans "
                   "(F4T pair, 64 flows)");
@@ -53,9 +44,10 @@ runSpansMode(const std::string &out_path)
         run.result.latencyP50Us, run.result.latencyP99Us);
     std::printf("\ncritical path of the slowest traced request:\n");
     obs::printSlowestCriticalPath(stdout, *run.tracer);
-    if (!out_path.empty() &&
-        obs::writeStageJson(out_path, *run.tracer,
-                            obs::currentRunMeta())) {
+    if (!out_path.empty()) {
+        if (!obs::writeStageJson(out_path, *run.tracer,
+                                 obs::currentRunMeta()))
+            return 1;
         std::printf("\nwrote %s\n", out_path.c_str());
     }
     return 0;
@@ -70,16 +62,9 @@ main(int argc, char **argv)
     bench::Obs::install(argc, argv);
     sim::setVerbose(false);
 
-    bool spans = false;
-    std::string spans_out;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--spans") == 0)
-            spans = true;
-        else if (std::strcmp(argv[i], "--spans-out") == 0 && i + 1 < argc)
-            spans_out = argv[++i];
-    }
-    if (spans)
-        return runSpansMode(spans_out);
+    bench::SpansArgs args = bench::parseSpansArgs(argc, argv);
+    if (args.spans)
+        return runSpansMode(args.out);
 
     bench::banner("Figure 12", "Nginx latency: Linux vs F4T (1 core)");
 

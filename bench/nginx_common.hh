@@ -9,7 +9,11 @@
 #ifndef F4T_BENCH_NGINX_COMMON_HH
 #define F4T_BENCH_NGINX_COMMON_HH
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/http.hh"
@@ -250,6 +254,42 @@ runNginxF4t(std::size_t server_cores, std::size_t flows, sim::Tick warmup,
         (totals[0] + totals[1] + totals[2] + totals[3] + totals[4]) /
         window_cycles;
     return result;
+}
+
+/** What fig11/fig12 accept once bench::Obs has taken its flags. */
+struct SpansArgs
+{
+    bool spans = false;
+    std::string out; ///< --spans-out PATH; empty writes no JSON
+};
+
+/**
+ * Strict `[--spans [--spans-out PATH]]` parser for fig11/fig12. An
+ * unknown argument, a --spans-out without its PATH or without --spans
+ * prints the usage line and exits 2 instead of running the default
+ * sweep.
+ */
+inline SpansArgs
+parseSpansArgs(int argc, char **argv)
+{
+    SpansArgs args;
+    bool ok = true;
+    for (int i = 1; ok && i < argc; ++i) {
+        if (std::strcmp(argv[i], "--spans") == 0) {
+            args.spans = true;
+        } else if (std::strcmp(argv[i], "--spans-out") == 0 &&
+                   i + 1 < argc && argv[i + 1][0] != '-') {
+            args.out = argv[++i];
+        } else {
+            ok = false;
+        }
+    }
+    if (!ok || (!args.out.empty() && !args.spans)) {
+        std::fprintf(stderr, "usage: %s [--spans [--spans-out PATH]]\n",
+                     argv[0]);
+        std::exit(2);
+    }
+    return args;
 }
 
 /**

@@ -13,7 +13,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "apps/http.hh"
 #include "apps/testbed.hh"
@@ -137,12 +136,10 @@ runLossyBulk()
     testbed::EnginePairWorld world(1, config, faults, 10e9, {},
                                    sim::microsecondsToTicks(250));
 
-    // With tracing compiled in, attach a causal tracer: each deliberate
-    // drop forces a retransmission, so the wire stage shows re-entries
-    // and the per-stage table below shows the tail they cause.
-    std::unique_ptr<sim::ctrace::CausalTracer> tracer;
-    if constexpr (sim::trace::compiledIn)
-        tracer = std::make_unique<sim::ctrace::CausalTracer>(world.sim);
+    // Attach a causal tracer: each deliberate drop forces a
+    // retransmission, so the wire stage shows re-entries and the
+    // per-stage table below shows the tail they cause.
+    sim::ctrace::CausalTracer tracer(world.sim);
 
     // The first active flow on engine A gets ID 0.
     bench::Obs::probe(world.sim, "cwnd_segments", [&world] {
@@ -170,13 +167,11 @@ runLossyBulk()
                 tcb.cwnd / 1460.0,
                 static_cast<unsigned long long>(sender.bytesSent()));
 
-    if (tracer) {
-        std::printf("\nper-stage latency from causal-trace spans "
-                    "(drops force wire re-entries):\n");
-        obs::printStageTable(stdout, *tracer);
-        std::printf("\ncritical path of the slowest request:\n");
-        obs::printSlowestCriticalPath(stdout, *tracer);
-    }
+    std::printf("\nper-stage latency from causal-trace spans "
+                "(drops force wire re-entries):\n");
+    obs::printStageTable(stdout, tracer);
+    std::printf("\ncritical path of the slowest request:\n");
+    obs::printSlowestCriticalPath(stdout, tracer);
     return 0;
 }
 

@@ -141,12 +141,10 @@ FtEngine::receivePacket(net::Packet &&pkt)
 void
 FtEngine::onParsedEvent(const tcp::TcpEvent &event)
 {
-    if constexpr (sim::trace::compiledIn) {
-        if (event.trace.valid()) {
-            if (auto *ct = sim().causalTracer()) {
-                ct->arrivedRx(event.trace, this, event.flow, now());
-                ct->eventQueued(event.trace, now());
-            }
+    if (event.trace.valid()) {
+        if (auto *ct = sim().causalTracer()) {
+            ct->arrivedRx(event.trace, this, event.flow, now());
+            ct->eventQueued(event.trace, now());
         }
     }
 
@@ -317,12 +315,9 @@ FtEngine::handleHostCommand(const host::Command &command, std::size_t queue)
         event.type = tcp::TcpEventType::userSend;
         event.pointer = txStart(command.flow) + command.arg0;
         event.trace = command.trace;
-        if constexpr (sim::trace::compiledIn) {
-            if (auto *ct = sim().causalTracer();
-                ct && command.trace.valid()) {
-                ct->setWireTarget(command.trace, event.pointer);
-                ct->eventQueued(command.trace, now());
-            }
+        if (auto *ct = sim().causalTracer(); ct && command.trace.valid()) {
+            ct->setWireTarget(command.trace, event.pointer);
+            ct->eventQueued(command.trace, now());
         }
         scheduler_->submitEvent(event);
         return;
@@ -395,11 +390,8 @@ FtEngine::dispatchActions(tcp::FlowId flow, tcp::FpuActions &&actions)
           case tcp::HostNotification::Kind::received:
             cmd.op = host::CmdOp::received;
             cmd.arg0 = note.pointer - info.rxStart;
-            if constexpr (sim::trace::compiledIn) {
-                if (auto *ct = sim().causalTracer())
-                    cmd.trace = ct->upcallPosted(this, flow, cmd.arg0,
-                                                 now());
-            }
+            if (auto *ct = sim().causalTracer())
+                cmd.trace = ct->upcallPosted(this, flow, cmd.arg0, now());
             break;
           case tcp::HostNotification::Kind::peerClosed:
             cmd.op = host::CmdOp::peerClosed;
@@ -423,10 +415,8 @@ FtEngine::recycleFlow(tcp::FlowId flow)
 {
     FlowInfo &info = flowInfo_[flow];
     if (info.active) {
-        if constexpr (sim::trace::compiledIn) {
-            if (auto *ct = sim().causalTracer())
-                ct->flowAborted(this, flow, now());
-        }
+        if (auto *ct = sim().causalTracer())
+            ct->flowAborted(this, flow, now());
         flowTable_->erase(info.tuple);
         scheduler_->freeFlow(flow);
         rxParser_->dropFlow(flow);

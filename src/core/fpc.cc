@@ -186,9 +186,7 @@ Fpc::installTcb(const MigratingTcb &incoming)
     slotFlow_[slot_index] = incoming.tcb.flowId;
     lastActiveCycle_[slot_index] = curCycle();
     // Tokens that travelled with the migrating TCB resume here.
-    SlotCold &cold = slotCold_[slot_index];
-    cold.trace.clear();
-    cold.trace.mergeCopy(incoming.trace);
+    slotCold_[slot_index].trace = incoming.trace;
     tcbTable_.peekMutable(slot_index) = incoming.tcb;
     eventTable_.peekMutable(slot_index) = incoming.events;
     lastInstallCycle_ = curCycle();
@@ -437,12 +435,10 @@ Fpc::handleEvent(const tcp::TcpEvent &event, sim::Cycles cycle)
         ++dupAckIncrements_;
     assignBit(eventsValidBits_, index, record.validMask != 0);
 
-    if constexpr (sim::trace::compiledIn) {
-        if (event.trace.valid()) {
-            slotCold_[index].trace.add(event.trace);
-            if (auto *ct = sim().causalTracer())
-                ct->absorbed(event.trace, now());
-        }
+    if (event.trace.valid()) {
+        slotCold_[index].trace.add(event.trace);
+        if (auto *ct = sim().causalTracer())
+            ct->absorbed(event.trace, now());
     }
 }
 
@@ -466,14 +462,12 @@ Fpc::issueSlot(std::size_t index, sim::Cycles cycle)
     job.slotIndex = index;
     job.flow = slotFlow_[index];
 
-    if constexpr (sim::trace::compiledIn) {
-        job.trace.clear(); // pipe slots are pooled; drop stale tokens
-        job.trace.merge(std::move(slotCold_[index].trace));
-        if (auto *ct = sim().causalTracer()) {
-            sim::Tick at = now();
-            job.trace.forEach(
-                [&](sim::ctrace::Token t) { ct->execStarted(t, at); });
-        }
+    job.trace.clear(); // pipe slots are pooled; drop stale tokens
+    job.trace.merge(std::move(slotCold_[index].trace));
+    if (auto *ct = sim().causalTracer()) {
+        sim::Tick at = now();
+        for (sim::ctrace::Token t : job.trace.toks)
+            ct->execStarted(t, at);
     }
 }
 
@@ -490,15 +484,11 @@ Fpc::writeback(FpuJob &job, sim::Cycles cycle)
 
     probe(sim::fr::Kind::fpcWriteback, job.flow, job.slotIndex,
           testBit(evictBits_, job.slotIndex) ? 1 : 0);
-    if constexpr (sim::trace::compiledIn) {
-        // One span per FPU pass: issue happened fpuLatency_ cycles ago.
-        if (auto *tl = sim().timeline()) {
-            sim::Tick start =
-                clock().cyclesToTicks(job.readyCycle - fpuLatency_);
-            tl->span(name(), "fpu",
-                     "pass flow " + std::to_string(job.flow), start,
-                     now());
-        }
+    // One span per FPU pass: issue happened fpuLatency_ cycles ago.
+    if (auto *tl = sim().timeline()) {
+        sim::Tick start = clock().cyclesToTicks(job.readyCycle - fpuLatency_);
+        tl->span(name(), "fpu", "pass flow " + std::to_string(job.flow),
+                 start, now());
     }
 
     F4T_IF_CHECKS({
@@ -529,17 +519,15 @@ Fpc::writeback(FpuJob &job, sim::Cycles cycle)
     assignBit(inFpuBits_, job.slotIndex, false);
     lastActiveCycle_[job.slotIndex] = cycle;
 
-    if constexpr (sim::trace::compiledIn) {
-        // The pass merged these requests' events: their fpcExec spans
-        // end here, before the actions fan out to the packet generator
-        // and the host interface.
-        if (auto *ct = sim().causalTracer()) {
-            sim::Tick at = now();
-            job.trace.forEach(
-                [&](sim::ctrace::Token t) { ct->processed(t, at); });
-        }
-        job.trace.clear();
+    // The pass merged these requests' events: their fpcExec spans end
+    // here, before the actions fan out to the packet generator and the
+    // host interface.
+    if (auto *ct = sim().causalTracer()) {
+        sim::Tick at = now();
+        for (sim::ctrace::Token t : job.trace.toks)
+            ct->processed(t, at);
     }
+    job.trace.clear();
 
     if (actions.releaseFlow) {
         // Connection finished: recycle the slot.

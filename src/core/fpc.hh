@@ -49,7 +49,7 @@ struct MigratingTcb
     tcp::EventRecord events;
     /** Causal-trace tokens of requests whose events travel with the
      *  TCB — spans survive a mid-request connection migration. */
-    [[no_unique_address]] sim::ctrace::TokenSet trace;
+    sim::ctrace::TokenSet trace;
 };
 
 /**
@@ -287,7 +287,7 @@ class Fpc : public sim::ClockedObject
     struct SlotCold
     {
         /** Tokens of events absorbed but not yet issued to the FPU. */
-        [[no_unique_address]] sim::ctrace::TokenSet trace;
+        sim::ctrace::TokenSet trace;
     };
 
     struct FpuJob
@@ -297,7 +297,7 @@ class Fpc : public sim::ClockedObject
         tcp::FlowId flow;
         tcp::Tcb merged;
         /** Tokens of the events merged into this pass. */
-        [[no_unique_address]] sim::ctrace::TokenSet trace;
+        sim::ctrace::TokenSet trace;
     };
 
     void handleEvent(const tcp::TcpEvent &event, sim::Cycles cycle);

@@ -111,13 +111,10 @@ HostInterface::startFetch(std::size_t queue_index)
                            auto commands = qs.pair->sq.popBatch(batch);
                            commandsFetched_ += commands.size();
                            for (const host::Command &cmd : commands) {
-                               if constexpr (sim::trace::compiledIn) {
-                                   if (cmd.trace.valid()) {
-                                       if (auto *ct = sim().causalTracer())
-                                           ct->fetched(cmd.trace,
-                                                       fetch_start, now());
-                                   }
-                               }
+                               if (auto *ct = sim().causalTracer();
+                                   ct && cmd.trace.valid())
+                                   ct->fetched(cmd.trace, fetch_start,
+                                               now());
                                if (commandHandler_)
                                    commandHandler_(cmd, queue_index);
                            }
@@ -152,12 +149,10 @@ HostInterface::flushCompletions(std::size_t queue_index)
     batch.swap(state.stagedCompletions);
     completionsPosted_ += batch.size();
 
-    if constexpr (sim::trace::compiledIn) {
-        if (auto *ct = sim().causalTracer()) {
-            for (const host::Command &cmd : batch) {
-                if (cmd.trace.valid())
-                    ct->upcallService(cmd.trace, now());
-            }
+    if (auto *ct = sim().causalTracer()) {
+        for (const host::Command &cmd : batch) {
+            if (cmd.trace.valid())
+                ct->upcallService(cmd.trace, now());
         }
     }
 

@@ -15,10 +15,7 @@ namespace
 void
 carryTrace(MigratingTcb &entry, const tcp::TcpEvent &event)
 {
-    if constexpr (sim::trace::compiledIn) {
-        if (event.trace.valid())
-            entry.trace.add(event.trace);
-    }
+    entry.trace.add(event.trace);
 }
 
 } // namespace

@@ -59,13 +59,11 @@ PacketGenerator::requestSegments(const tcp::SegmentRequest &request)
                name().c_str());
     FlowAddress addr = lookup_(request.flow);
 
-    if constexpr (sim::trace::compiledIn) {
-        // Requests whose target byte rides in [seq+1, seq+length] enter
-        // (or re-enter, on retransmission) the wire stage now.
-        if (auto *ct = sim().causalTracer()) {
-            ct->wireQueued(traceDomain_, request.flow, request.seq,
-                           request.seq + request.length, now());
-        }
+    // Requests whose target byte rides in [seq+1, seq+length] enter
+    // (or re-enter, on retransmission) the wire stage now.
+    if (auto *ct = sim().causalTracer()) {
+        ct->wireQueued(traceDomain_, request.flow, request.seq,
+                       request.seq + request.length, now());
     }
 
     std::uint32_t remaining = request.length;
@@ -94,11 +92,8 @@ PacketGenerator::requestSegments(const tcp::SegmentRequest &request)
             addr.localMac, addr.peerMac, addr.tuple.localIp,
             addr.tuple.remoteIp, tcp, std::move(payload));
 
-        if constexpr (sim::trace::compiledIn) {
-            if (auto *ct = sim().causalTracer()) {
-                pkt.trace = ct->wireToken(traceDomain_, request.flow, seq,
-                                          chunk);
-            }
+        if (auto *ct = sim().causalTracer()) {
+            pkt.trace = ct->wireToken(traceDomain_, request.flow, seq, chunk);
         }
 
         ++segments_;

@@ -130,14 +130,12 @@ F4tLibrary::send(SockFd fd, std::span<const std::uint8_t> data)
     cmd.op = host::CmdOp::send;
     cmd.flow = sock.flow;
     cmd.arg0 = static_cast<std::uint32_t>(fb->tx.end());
-    if constexpr (sim::trace::compiledIn) {
-        // Allocate the request's trace context here: this is the
-        // moment the application handed us the data. The target is
-        // the cumulative stream offset of the request's last byte.
-        if (auto *ct = runtime_.sim().causalTracer()) {
-            cmd.trace = ct->beginRequest(&runtime_.engine(), sock.flow,
-                                         fb->tx.end(), runtime_.now());
-        }
+    // Allocate the request's trace context here: this is the moment
+    // the application handed us the data. The target is the cumulative
+    // stream offset of the request's last byte.
+    if (auto *ct = runtime_.sim().causalTracer()) {
+        cmd.trace = ct->beginRequest(&runtime_.engine(), sock.flow,
+                                     fb->tx.end(), runtime_.now());
     }
     runtime_.submitCommand(queue_, cmd, core_);
     return accepted;
@@ -283,11 +281,9 @@ F4tLibrary::handleCompletion(const host::Command &command)
             if (callbacks_.onReadable)
                 callbacks_.onReadable(fd, readable(fd));
         }
-        if constexpr (sim::trace::compiledIn) {
-            if (command.trace.valid()) {
-                if (auto *ct = runtime_.sim().causalTracer())
-                    ct->delivered(command.trace, runtime_.now());
-            }
+        if (command.trace.valid()) {
+            if (auto *ct = runtime_.sim().causalTracer())
+                ct->delivered(command.trace, runtime_.now());
         }
         return;
       }

@@ -36,11 +36,9 @@ F4tRuntime::submitCommand(std::size_t q, const host::Command &command,
                         host::F4tCosts::doorbellBatch);
     ++commandsSubmitted_;
 
-    if constexpr (sim::trace::compiledIn) {
-        if (command.trace.valid()) {
-            if (auto *ct = sim().causalTracer())
-                ct->submitted(command.trace, now());
-        }
+    if (command.trace.valid()) {
+        if (auto *ct = sim().causalTracer())
+            ct->submitted(command.trace, now());
     }
 
     host::QueuePair &pair = *queues_.at(q);

@@ -32,14 +32,12 @@ PcieModel::transfer(std::size_t bytes, sim::Tick &busy_until,
     probe(sim::fr::Kind::pcieDma, 0,
           sim::fr::pack(&counter == &d2hBytes_ ? 1 : 0, bytes), done);
     // The whole transaction is known at issue time, so the span can be
-    // emitted up front. Hot under bulk transfers; compiled out with the
-    // probe text lines.
-    if constexpr (sim::trace::compiledIn) {
-        if (auto *tl = sim().timeline())
-            tl->span(name(), "dma",
-                     std::string(what) + " " + std::to_string(bytes) + "B",
-                     start, done);
-    }
+    // emitted up front. Hot under bulk transfers: without a timeline the
+    // cost is one pointer test.
+    if (auto *tl = sim().timeline())
+        tl->span(name(), "dma",
+                 std::string(what) + " " + std::to_string(bytes) + "B",
+                 start, done);
     if (on_complete)
         queue().scheduleCallback(done, what, std::move(on_complete));
     return done;

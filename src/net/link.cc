@@ -119,13 +119,11 @@ LinkDirection::send(Packet &&pkt)
     busyUntil_ = start + tx_time;
     sim::Tick arrival = busyUntil_ + propagationDelay_;
 
-    if constexpr (sim::trace::compiledIn) {
-        // Wire-stage service begins when the transmitter starts
-        // serializing; everything before is head-of-line queueing.
-        if (pkt.trace.valid()) {
-            if (auto *ct = sim().causalTracer())
-                ct->wireService(pkt.trace, start);
-        }
+    // Wire-stage service begins when the transmitter starts serializing;
+    // everything before is head-of-line queueing.
+    if (pkt.trace.valid()) {
+        if (auto *ct = sim().causalTracer())
+            ct->wireService(pkt.trace, start);
     }
 
     if (nextScheduledDrop_ < faults_.dropAtTicks.size() &&

@@ -50,7 +50,7 @@ struct Packet
      *  carry it (the wire format is unchanged), so a packet that round-
      *  trips through real bytes loses its token — only the in-memory
      *  fast path, which every world uses, preserves causality. */
-    [[no_unique_address]] sim::ctrace::Token trace;
+    sim::ctrace::Token trace;
 
     /** Earliest tick this packet may start serializing on the wire.
      *  Metadata, not wire content: the batched TX path hands packets to

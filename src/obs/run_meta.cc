@@ -26,7 +26,10 @@ currentRunMeta()
     RunMeta meta;
     meta.gitSha = F4T_GIT_SHA;
     meta.preset = F4T_PRESET_NAME;
-    meta.traceEnabled = sim::trace::compiledIn;
+    for (unsigned i = 0; i < sim::trace::numFlags; ++i) {
+        if (sim::trace::enabled(static_cast<sim::trace::Flag>(i)))
+            meta.traceEnabled = true;
+    }
     meta.checksEnabled = sim::checksEnabled;
     meta.profileEnabled = sim::prof::compiledIn;
     meta.profiled = sim::prof::enabled();
@@ -101,8 +104,8 @@ comparableRuns(const RunMeta &a, const RunMeta &b, std::string *why)
     }
     if (a.traceEnabled != b.traceEnabled) {
         if (why)
-            *why = "F4T_ENABLE_TRACE differs (tracing changes the hot "
-                   "path cost)";
+            *why = "trace flags differ (selected flags print a text line "
+                   "per probe)";
         return false;
     }
     if (a.checksEnabled != b.checksEnabled) {

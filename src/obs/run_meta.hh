@@ -1,11 +1,12 @@
 /**
  * @file
  * Run metadata stamped into every BENCH_*.json: git revision, build
- * preset, the two compile-time feature gates, and a wall-clock
- * timestamp. f4t_report refuses to compare two files whose metadata
- * says the builds are not comparable (different preset or different
- * gate settings) — a trace-on build against a trace-off baseline is
- * an apples-to-oranges perf comparison, not a regression.
+ * preset, the two compile-time feature gates, whether trace flags or
+ * the profiler were live during the run, and a wall-clock timestamp.
+ * f4t_report refuses to compare two files whose metadata says the runs
+ * are not comparable (different preset, gate settings or live
+ * instrumentation) — a traced run against an untraced baseline is an
+ * apples-to-oranges perf comparison, not a regression.
  */
 
 #ifndef F4T_OBS_RUN_META_HH
@@ -23,6 +24,8 @@ struct RunMeta
 {
     std::string gitSha = "unknown";
     std::string preset = "unknown";
+    /** Some trace flag was selected (F4T_TRACE or --trace=), so probe
+     *  text lines were live: the trace analogue of `profiled`. */
     bool traceEnabled = false;
     bool checksEnabled = false;
     /** F4T_ENABLE_PROFILE compiled in (the gate, not whether it ran). */
@@ -43,8 +46,9 @@ struct RunMeta
     bool known() const { return preset != "unknown"; }
 };
 
-/** Metadata of the currently running binary (gates are compile-time;
- *  the SHA and preset are baked in at configure time). */
+/** Metadata of the currently running binary (gates are compile-time,
+ *  the SHA and preset are baked in at configure time, and the trace
+ *  and profile state is read at the call). */
 RunMeta currentRunMeta();
 
 /**

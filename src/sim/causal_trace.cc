@@ -130,7 +130,7 @@ CausalTracer::get(Token t)
 {
     if (!t.valid())
         return nullptr;
-    auto it = live_.find(t.idOr0());
+    auto it = live_.find(t.id);
     return it == live_.end() ? nullptr : &it->second;
 }
 
@@ -184,10 +184,6 @@ Token
 CausalTracer::beginRequest(const void *domain, std::uint32_t flow,
                            std::uint64_t target_offset, Tick at)
 {
-    if constexpr (!trace::compiledIn) {
-        (void)domain, (void)flow, (void)target_offset, (void)at;
-        return {};
-    }
     if (live_.size() >= maxLive_) {
         ++overflow_;
         return {};
@@ -206,14 +202,12 @@ CausalTracer::beginRequest(const void *domain, std::uint32_t flow,
     live_.emplace(id, std::move(req));
     senderIndex_[FlowKey{domain, flow}].push_back(id);
     ++started_;
-    return Token::make(id);
+    return Token{id};
 }
 
 void
 CausalTracer::submitted(Token t, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -225,8 +219,6 @@ CausalTracer::submitted(Token t, Tick at)
 void
 CausalTracer::fetched(Token t, Tick fetch_start, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -240,8 +232,6 @@ CausalTracer::fetched(Token t, Tick fetch_start, Tick at)
 void
 CausalTracer::eventQueued(Token t, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -251,8 +241,6 @@ CausalTracer::eventQueued(Token t, Tick at)
 void
 CausalTracer::setWireTarget(Token t, std::uint32_t seq)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -263,8 +251,6 @@ CausalTracer::setWireTarget(Token t, std::uint32_t seq)
 void
 CausalTracer::coalescedInto(Token t, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -277,8 +263,6 @@ CausalTracer::coalescedInto(Token t, Tick at)
 void
 CausalTracer::absorbed(Token t, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -293,16 +277,12 @@ CausalTracer::absorbed(Token t, Tick at)
 void
 CausalTracer::execStarted(Token t, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     markService(t, Stage::fpcExec, at);
 }
 
 void
 CausalTracer::processed(Token t, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -321,13 +301,11 @@ CausalTracer::wireQueued(const void *domain, std::uint32_t flow,
                          std::uint32_t from_seq, std::uint32_t to_seq,
                          Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     auto it = senderIndex_.find(FlowKey{domain, flow});
     if (it == senderIndex_.end())
         return;
     for (std::uint32_t id : it->second) {
-        Request *req = get(Token::make(id));
+        Request *req = get(Token{id});
         if (!req || req->done || !req->wireTargetSet)
             continue;
         if (seqDelta(req->wireTarget, from_seq) <= 0 ||
@@ -352,16 +330,12 @@ Token
 CausalTracer::wireToken(const void *domain, std::uint32_t flow,
                         std::uint32_t seq, std::uint32_t payload_len) const
 {
-    if constexpr (!trace::compiledIn) {
-        (void)domain, (void)flow, (void)seq, (void)payload_len;
-        return {};
-    }
     auto it = senderIndex_.find(FlowKey{domain, flow});
     if (it == senderIndex_.end())
         return {};
     const Request *best = nullptr;
     for (std::uint32_t id : it->second) {
-        const Request *req = get(Token::make(id));
+        const Request *req = get(Token{id});
         if (!req || req->done || !req->wireTargetSet ||
             !req->hasOpen(Stage::wire)) {
             continue;
@@ -374,14 +348,12 @@ CausalTracer::wireToken(const void *domain, std::uint32_t flow,
         if (!best || seqDelta(req->wireTarget, best->wireTarget) > 0)
             best = req;
     }
-    return best ? Token::make(best->id) : Token{};
+    return best ? Token{best->id} : Token{};
 }
 
 void
 CausalTracer::wireService(Token t, Tick tx_start)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     markService(t, Stage::wire, tx_start);
 }
 
@@ -389,8 +361,6 @@ void
 CausalTracer::arrivedRx(Token t, const void *peer_domain,
                         std::uint32_t peer_flow, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -407,7 +377,7 @@ CausalTracer::arrivedRx(Token t, const void *peer_domain,
     if (it == senderIndex_.end())
         return;
     for (std::uint32_t id : it->second) {
-        Request *covered = get(Token::make(id));
+        Request *covered = get(Token{id});
         if (!covered || covered->done ||
             covered->targetOffset > req->targetOffset) {
             continue;
@@ -433,10 +403,6 @@ Token
 CausalTracer::upcallPosted(const void *peer_domain, std::uint32_t peer_flow,
                            std::uint32_t offset32, Tick at)
 {
-    if constexpr (!trace::compiledIn) {
-        (void)peer_domain, (void)peer_flow, (void)offset32, (void)at;
-        return {};
-    }
     FlowKey key{peer_domain, peer_flow};
     auto it = peerIndex_.find(key);
     if (it == peerIndex_.end())
@@ -448,7 +414,7 @@ CausalTracer::upcallPosted(const void *peer_domain, std::uint32_t peer_flow,
 
     const Request *best = nullptr;
     for (std::uint32_t id : it->second) {
-        Request *req = get(Token::make(id));
+        Request *req = get(Token{id});
         if (!req || req->done || req->targetOffset > offset)
             continue;
         if (!req->hasOpen(Stage::upcall)) {
@@ -458,22 +424,18 @@ CausalTracer::upcallPosted(const void *peer_domain, std::uint32_t peer_flow,
         if (!best || req->targetOffset > best->targetOffset)
             best = req;
     }
-    return best ? Token::make(best->id) : Token{};
+    return best ? Token{best->id} : Token{};
 }
 
 void
 CausalTracer::upcallService(Token t, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     markService(t, Stage::upcall, at);
 }
 
 void
 CausalTracer::delivered(Token t, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -482,7 +444,7 @@ CausalTracer::delivered(Token t, Tick at)
         auto it = peerIndex_.find(FlowKey{req->peerDomain, req->peerFlow});
         if (it != peerIndex_.end()) {
             for (std::uint32_t id : it->second) {
-                Request *covered = get(Token::make(id));
+                Request *covered = get(Token{id});
                 if (covered && !covered->done &&
                     covered->targetOffset <= req->targetOffset &&
                     covered->hasOpen(Stage::upcall)) {
@@ -496,7 +458,7 @@ CausalTracer::delivered(Token t, Tick at)
         done_ids.push_back(req->id);
     }
     for (std::uint32_t id : done_ids) {
-        Request *covered = get(Token::make(id));
+        Request *covered = get(Token{id});
         if (!covered)
             continue;
         if (Span *u = covered->lastOpen(Stage::upcall))
@@ -569,8 +531,6 @@ CausalTracer::retire(std::uint32_t id)
 void
 CausalTracer::flowAborted(const void *domain, std::uint32_t flow, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     std::vector<std::uint32_t> ids;
     for (auto *index : {&senderIndex_, &peerIndex_}) {
         auto it = index->find(FlowKey{domain, flow});
@@ -580,7 +540,7 @@ CausalTracer::flowAborted(const void *domain, std::uint32_t flow, Tick at)
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     for (std::uint32_t id : ids) {
-        Request *req = get(Token::make(id));
+        Request *req = get(Token{id});
         if (!req || req->done)
             continue;
         abort(*req, at);
@@ -591,8 +551,6 @@ CausalTracer::flowAborted(const void *domain, std::uint32_t flow, Tick at)
 void
 CausalTracer::openSpan(Token t, Stage stage, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -602,8 +560,6 @@ CausalTracer::openSpan(Token t, Stage stage, Tick at)
 void
 CausalTracer::markService(Token t, Stage stage, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;
@@ -616,8 +572,6 @@ CausalTracer::markService(Token t, Stage stage, Tick at)
 void
 CausalTracer::closeSpan(Token t, Stage stage, Tick at)
 {
-    if constexpr (!trace::compiledIn)
-        return;
     Request *req = get(t);
     if (!req)
         return;

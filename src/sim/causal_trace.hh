@@ -33,10 +33,10 @@
  * through cumulative-offset coverage: any posted offset >= a request's
  * target completes it.
  *
- * Zero-cost contract: all call sites are guarded with
- * `if constexpr (sim::trace::compiledIn)`; under F4T_ENABLE_TRACE=OFF
- * (the release preset) the tokens are empty structs and no tracer call
- * survives compilation — verified by unchanged perf_kernel fingerprints.
+ * Cost without a tracer: every call site tests `sim().causalTracer()`
+ * (or a token's validity, which only a tracer can set) and does nothing
+ * else, so an untraced run carries zero-valued tokens and simulates
+ * exactly what a traced run does — the tracer only observes.
  */
 
 #ifndef F4T_SIM_CAUSAL_TRACE_HH
@@ -138,7 +138,7 @@ struct Request
  * The tracer. Construct one per Simulation (it registers itself via
  * Simulation::setCausalTracer and its histograms under "ctrace.*" in
  * sim.stats()); instrumented modules reach it through
- * `sim().causalTracer()` behind `if constexpr (trace::compiledIn)`.
+ * `sim().causalTracer()`, which is null when no tracer is attached.
  *
  * Bounds: at most @p max_live requests are in flight (beginRequest
  * returns an invalid token beyond that, counted in overflowDropped);

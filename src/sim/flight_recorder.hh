@@ -18,7 +18,7 @@
  *  - runtime off (`F4T_FLIGHT_RECORDER=0` in the environment): one
  *    relaxed load and a predictable branch.
  *
- * The zero-cost claim is verified the same way the trace layer's was:
+ * The zero-cost claim is verified by measurement:
  * release fingerprints and BENCH_kernel.json `event_rate` stay inside
  * the committed-baseline band with the recorder compiled in and
  * enabled. The recorder never touches simulated state, so the

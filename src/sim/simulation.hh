@@ -137,8 +137,7 @@ class Simulation
     void setTimeline(trace::TraceEventSink *sink) { timeline_ = sink; }
 
     /** Causal request tracer (sim/causal_trace.hh); nullptr when no
-     *  tracer is attached. Hot call sites additionally compile out
-     *  under `if constexpr (trace::compiledIn)`. */
+     *  tracer is attached, which is all a call site tests. */
     ctrace::CausalTracer *causalTracer() { return ctracer_; }
     void setCausalTracer(ctrace::CausalTracer *tracer) { ctracer_ = tracer; }
 
@@ -265,9 +264,9 @@ class SimObject
     /**
      * Report one moment of this module (DESIGN.md §10) to every sink:
      * a flight-recorder record (always on), a tick-stamped text line
-     * when @p kind's trace flag is selected (trace builds only), and a
-     * timeline instant when a sink is attached. @p flow and the payload
-     * words @p a / @p b mean what fr::Kind documents for @p kind.
+     * when @p kind's trace flag is selected, and a timeline instant
+     * when a sink is attached. @p flow and the payload words @p a /
+     * @p b mean what fr::Kind documents for @p kind.
      */
     void
     probe(fr::Kind kind, std::uint32_t flow, std::uint64_t a = 0,
@@ -278,10 +277,8 @@ class SimObject
         fr::Record rec{now(), a, b, flow, frModule_,
                        static_cast<std::uint8_t>(kind), 0};
         fr::record(kind, rec.tick, rec.module, flow, a, b);
-        if constexpr (trace::compiledIn) {
-            if (trace::enabled(fr::info(kind).flag)) [[unlikely]]
-                trace::detail::emitProbe(name_, rec);
-        }
+        if (trace::enabled(fr::info(kind).flag)) [[unlikely]]
+            trace::detail::emitProbe(name_, rec);
         if (trace::TraceEventSink *tl = sim_.timeline()) [[unlikely]]
             tl->probe(name_, rec);
     }

@@ -52,11 +52,12 @@ jsonEscape(const std::string &s)
     return result;
 }
 
-/** Does any positive token match, with no negative token matching? */
-bool
-specSelects(const std::string &spec, const std::string &name)
+/** Call @p fn(pattern, negate) for each pattern of a comma- or
+ *  space-separated spec; a leading '-' negates and is stripped. */
+template <typename Fn>
+void
+forEachPattern(const std::string &spec, Fn &&fn)
 {
-    bool selected = false;
     std::size_t pos = 0;
     while (pos < spec.size()) {
         std::size_t end = spec.find_first_of(", ", pos);
@@ -64,14 +65,23 @@ specSelects(const std::string &spec, const std::string &name)
             end = spec.size();
         std::string token = spec.substr(pos, end - pos);
         pos = end + 1;
-        if (token.empty())
-            continue;
-        bool negate = token[0] == '-';
+        bool negate = !token.empty() && token[0] == '-';
         if (negate)
             token.erase(0, 1);
-        if (!token.empty() && globMatch(token.c_str(), name.c_str()))
-            selected = !negate;
+        if (!token.empty())
+            fn(token, negate);
     }
+}
+
+/** Does any positive token match, with no negative token matching? */
+bool
+specSelects(const std::string &spec, const std::string &name)
+{
+    bool selected = false;
+    forEachPattern(spec, [&](const std::string &token, bool negate) {
+        if (globMatch(token.c_str(), name.c_str()))
+            selected = !negate;
+    });
     return selected;
 }
 
@@ -179,26 +189,11 @@ std::size_t
 setFlags(const std::string &spec)
 {
     std::size_t changes = 0;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t end = spec.find_first_of(", ", pos);
-        if (end == std::string::npos)
-            end = spec.size();
-        std::string token = spec.substr(pos, end - pos);
-        pos = end + 1;
-        if (token.empty())
-            continue;
-        bool value = true;
-        if (token[0] == '-') {
-            value = false;
-            token.erase(0, 1);
-        }
-        if (token.empty())
-            continue;
+    forEachPattern(spec, [&](const std::string &token, bool negate) {
+        bool value = !negate;
         bool matched = false;
         for (unsigned i = 0; i < numFlags; ++i) {
-            if (globMatch(token.c_str(),
-                          toString(static_cast<Flag>(i)))) {
+            if (globMatch(token.c_str(), toString(static_cast<Flag>(i)))) {
                 matched = true;
                 if (detail::flagState[i] != value) {
                     detail::flagState[i] = value;
@@ -209,8 +204,22 @@ setFlags(const std::string &spec)
         if (!matched)
             f4t_warn("trace: pattern '%s' matches no flag (try '*')",
                      token.c_str());
-    }
+    });
     return changes;
+}
+
+std::string
+unmatchedPattern(const std::string &spec)
+{
+    std::string unmatched;
+    forEachPattern(spec, [&](const std::string &token, bool) {
+        bool matched = false;
+        for (unsigned i = 0; i < numFlags && !matched; ++i)
+            matched = globMatch(token.c_str(), toString(static_cast<Flag>(i)));
+        if (!matched && unmatched.empty())
+            unmatched = token;
+    });
+    return unmatched;
 }
 
 void

@@ -3,7 +3,8 @@
  * Observability layer: per-module trace flags, a Chrome trace-event
  * timeline sink, and a periodic statistics sampler.
  *
- * Three complementary views of a run, each zero-cost when unused:
+ * Three complementary views of a run, each selected at run time; an
+ * unselected view costs a probe site one load or pointer test:
  *
  *  - Trace flags select the text lines of SimObject::probe()
  *    (sim/simulation.hh): each flight-recorder kind names one Flag in
@@ -12,9 +13,9 @@
  *    run time by name or glob ("Fpc,Sch*", case-insensitive) through
  *    the F4T_TRACE environment variable, trace::setFlags(), or
  *    Simulation::setTraceFlags(); a leading '-' clears matching flags.
- *    The release preset compiles the text path out
- *    (F4T_ENABLE_TRACE=OFF), exactly like F4T_CHECK, so probes can sit
- *    on the hottest paths without taxing perf_kernel numbers.
+ *    Every build carries the text path: a probe whose flag is not
+ *    selected pays one array load and a not-taken branch, so probes
+ *    can sit on the hottest paths.
  *
  *  - TraceEventSink — buffers spans, instants, and counter samples and
  *    writes the Chrome trace-event JSON format (open the file in
@@ -62,12 +63,6 @@ struct Record;
 namespace trace
 {
 
-#ifdef F4T_ENABLE_TRACE
-constexpr bool compiledIn = true;
-#else
-constexpr bool compiledIn = false;
-#endif
-
 /** One flag per traced module; see toString() for the spellings. */
 enum class Flag : unsigned
 {
@@ -96,10 +91,7 @@ const char *toString(Flag flag);
 namespace detail
 {
 
-/* Always defined (not just under F4T_ENABLE_TRACE) so the flag API is
- * callable from any build; without the text path compiled in the
- * state is simply never consulted. The extra slot backs noFlag and is
- * never set. */
+/* The extra slot backs noFlag and is never set. */
 extern bool flagState[numFlags + 1];
 
 /** Print a probe's text line, stamped with the current tick. */
@@ -110,12 +102,10 @@ void notifySimulationDestroyed(Simulation &sim);
 
 } // namespace detail
 
-/** Is @p flag currently selected? (One array load when compiled in.) */
+/** Is @p flag currently selected? (One array load.) */
 inline bool
 enabled(Flag flag)
 {
-    if constexpr (!compiledIn)
-        return false;
     return detail::flagState[static_cast<unsigned>(flag)];
 }
 
@@ -126,6 +116,10 @@ enabled(Flag flag)
  * warn and are ignored. @return the number of flag changes applied.
  */
 std::size_t setFlags(const std::string &spec);
+
+/** The first pattern of @p spec (setFlags() syntax) that matches no
+ *  flag, or "" when every pattern matches one. */
+std::string unmatchedPattern(const std::string &spec);
 
 /** Clear every flag. */
 void clearFlags();

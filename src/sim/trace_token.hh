@@ -4,13 +4,10 @@
  * inside every hand-off record of the data path (host Command, TcpEvent,
  * Packet) without changing behaviour.
  *
- * Zero-cost contract (same policy as trace.hh): under
- * F4T_ENABLE_TRACE=OFF the token is an empty struct — embedded with
- * [[no_unique_address]] it occupies no storage, every method is a
- * constant no-op, and the call sites guarded by
- * `if constexpr (sim::trace::compiledIn)` disappear entirely. The API
- * is identical in both modes so unguarded helper code (TcpEvent
- * coalescing, TokenSet plumbing) compiles either way.
+ * Cost when no tracer is attached: the token adds 4 bytes to each of
+ * those records and stays 0; a TokenSet stays an empty vector that never
+ * allocates, because only CausalTracer::beginRequest() mints a valid
+ * token.
  *
  * This header must stay dependency-light: it is included from
  * tcp/tcb.hh, host/command_queue.hh and net/packet.hh, which sit below
@@ -26,17 +23,12 @@
 namespace f4t::sim::ctrace
 {
 
-#ifdef F4T_ENABLE_TRACE
-
 /** Handle to one traced request; id 0 means "not traced". */
 struct Token
 {
     std::uint32_t id = 0;
 
     bool valid() const { return id != 0; }
-    std::uint32_t idOr0() const { return id; }
-
-    static Token make(std::uint32_t id) { return Token{id}; }
 };
 
 /**
@@ -64,52 +56,8 @@ struct TokenSet
         other.toks.clear();
     }
 
-    void
-    mergeCopy(const TokenSet &other)
-    {
-        for (Token t : other.toks)
-            toks.push_back(t);
-    }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (Token t : toks)
-            fn(t);
-    }
-
-    bool empty() const { return toks.empty(); }
     void clear() { toks.clear(); }
 };
-
-#else // !F4T_ENABLE_TRACE
-
-struct Token
-{
-    bool valid() const { return false; }
-    std::uint32_t idOr0() const { return 0; }
-
-    static Token make(std::uint32_t) { return {}; }
-};
-
-struct TokenSet
-{
-    void add(Token) {}
-    void merge(TokenSet &&) {}
-    void mergeCopy(const TokenSet &) {}
-
-    template <typename Fn>
-    void
-    forEach(Fn &&) const
-    {
-    }
-
-    bool empty() const { return true; }
-    void clear() {}
-};
-
-#endif // F4T_ENABLE_TRACE
 
 } // namespace f4t::sim::ctrace
 

@@ -284,7 +284,7 @@ const char *toString(TcpEventType type);
  * the payload fields below are shared across kinds (a kind reads only
  * its own fields). Consumers dispatch with a switch on `type` — see
  * Fpc::handleEvent and accumulateEvent — and the whole struct packs
- * into 32 bytes (plus the trace token when tracing is compiled in), so
+ * into 32 bytes plus the 4-byte trace token, so
  * scheduler rings and FPC input FIFOs move it by value with no
  * indirection, no vtable, and no heap traffic (DESIGN.md §17).
  */
@@ -308,9 +308,8 @@ struct TcpEvent
     // timeout payload.
     TimeoutKind timeoutKind = TimeoutKind::retransmit;
 
-    /** Causal-trace token of the request that produced this event
-     *  (empty struct when tracing is compiled out). */
-    [[no_unique_address]] sim::ctrace::Token trace;
+    /** Causal-trace token of the request that produced this event. */
+    sim::ctrace::Token trace;
 
     /**
      * Whether two events of the same flow can coalesce without losing

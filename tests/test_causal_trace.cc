@@ -4,11 +4,7 @@
  * bookkeeping under out-of-order closes, full end-to-end span trees on
  * an all-F4T engine pair (the span-sum acceptance check), wire
  * re-entry under retransmission, FPC<->DRAM migration mid-request,
- * event coalescing, and the trace-off no-op contract.
- *
- * Everything except the no-op contract needs F4T_ENABLE_TRACE=ON; in
- * trace-off builds those tests GTEST_SKIP (the file still compiles and
- * links, which is itself part of the contract under test).
+ * event coalescing, and flow teardown.
  */
 
 #include <algorithm>
@@ -32,12 +28,6 @@ using sim::ctrace::CausalTracer;
 using sim::ctrace::Request;
 using sim::ctrace::Stage;
 using sim::ctrace::Token;
-
-#define SKIP_IF_TRACE_OFF()                                               \
-    do {                                                                  \
-        if constexpr (!sim::trace::compiledIn)                            \
-            GTEST_SKIP() << "tracing compiled out (F4T_ENABLE_TRACE=OFF)"; \
-    } while (0)
 
 /**
  * An all-F4T engine pair serving HTTP: server on engine A, one
@@ -88,34 +78,25 @@ struct TracedHttpWorld
 };
 
 // ---------------------------------------------------------------------
-// trace-off contract
+// request lifetime
 // ---------------------------------------------------------------------
 
-TEST(CausalTrace, ApiCallableInBothModes)
+TEST(CausalTrace, AbortRetiresABegunRequest)
 {
     sim::Simulation sim;
     CausalTracer tracer(sim);
     int domain = 0;
     Token t = tracer.beginRequest(&domain, 1, 4096, 0);
-    if constexpr (sim::trace::compiledIn) {
-        EXPECT_TRUE(t.valid());
-        EXPECT_EQ(tracer.requestsStarted(), 1u);
-        EXPECT_EQ(tracer.liveCount(), 1u);
-    } else {
-        // Off mode: every call is a no-op and nothing is recorded.
-        EXPECT_FALSE(t.valid());
-        EXPECT_EQ(tracer.requestsStarted(), 0u);
-        EXPECT_EQ(tracer.liveCount(), 0u);
-    }
-    // The full API must accept calls either way (compile + runtime).
+    EXPECT_TRUE(t.valid());
+    EXPECT_EQ(tracer.requestsStarted(), 1u);
+    EXPECT_EQ(tracer.liveCount(), 1u);
     tracer.submitted(t, 10);
     tracer.fetched(t, 20, 30);
     tracer.eventQueued(t, 30);
     tracer.setWireTarget(t, 4096);
     tracer.flowAborted(&domain, 1, 40);
-    if constexpr (!sim::trace::compiledIn) {
-        EXPECT_EQ(tracer.requestsAborted(), 0u);
-    }
+    EXPECT_EQ(tracer.requestsAborted(), 1u);
+    EXPECT_EQ(tracer.liveCount(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -124,7 +105,6 @@ TEST(CausalTrace, ApiCallableInBothModes)
 
 TEST(CausalTrace, OutOfOrderCloseIsCountedNotFatal)
 {
-    SKIP_IF_TRACE_OFF();
     sim::Simulation sim;
     CausalTracer tracer(sim);
     int domain = 0;
@@ -150,7 +130,6 @@ TEST(CausalTrace, OutOfOrderCloseIsCountedNotFatal)
 
 TEST(CausalTrace, RawSpanQueueServiceSplit)
 {
-    SKIP_IF_TRACE_OFF();
     sim::Simulation sim;
     CausalTracer tracer(sim);
     int domain = 0;
@@ -178,7 +157,6 @@ TEST(CausalTrace, RawSpanQueueServiceSplit)
 
 TEST(CausalTrace, SpanTreeSumsToEndToEndLatency)
 {
-    SKIP_IF_TRACE_OFF();
     TracedHttpWorld w(4);
     w.runMs(3.0);
 
@@ -230,7 +208,6 @@ TEST(CausalTrace, SpanTreeSumsToEndToEndLatency)
 
 TEST(CausalTrace, RetransmissionReentersWireStage)
 {
-    SKIP_IF_TRACE_OFF();
     // Deterministic drops on the data direction force retransmissions:
     // the retransmitted byte range re-enters the wire stage, the
     // superseded span is abandoned (kept in the tree, not sampled).
@@ -290,7 +267,6 @@ TEST(CausalTrace, RetransmissionReentersWireStage)
 
 TEST(CausalTrace, SurvivesConnectionMigrationMidRequest)
 {
-    SKIP_IF_TRACE_OFF();
     // More flows than one FPC holds: TCBs ping-pong between the FPC
     // and DRAM. Tokens ride the MigratingTcb, so requests in flight
     // across a migration still close their spans.
@@ -315,7 +291,6 @@ TEST(CausalTrace, SurvivesConnectionMigrationMidRequest)
 
 TEST(CausalTrace, CoalescedRequestsCompleteViaOffsetCoverage)
 {
-    SKIP_IF_TRACE_OFF();
     // Back-to-back small sends on one flow coalesce in the scheduler
     // window; the merged requests lose their own event tokens but
     // must still complete through cumulative-offset coverage.
@@ -353,7 +328,6 @@ TEST(CausalTrace, CoalescedRequestsCompleteViaOffsetCoverage)
 
 TEST(CausalTrace, FlowTeardownAbortsLiveRequests)
 {
-    SKIP_IF_TRACE_OFF();
     sim::Simulation sim;
     CausalTracer tracer(sim);
     int domain = 0;

@@ -15,6 +15,7 @@
 #include "obs/json.hh"
 #include "obs/regression.hh"
 #include "obs/run_meta.hh"
+#include "sim/trace.hh"
 
 namespace f4t::obs
 {
@@ -190,6 +191,16 @@ TEST(RunMeta, WriteParseRoundTrip)
     EXPECT_TRUE(parsed.known());
 }
 
+TEST(RunMeta, TraceEnabledFollowsSelectedFlags)
+{
+    sim::trace::clearFlags();
+    EXPECT_FALSE(currentRunMeta().traceEnabled);
+    sim::trace::setFlags("link");
+    EXPECT_TRUE(currentRunMeta().traceEnabled);
+    sim::trace::clearFlags();
+    EXPECT_FALSE(currentRunMeta().traceEnabled);
+}
+
 TEST(RunMeta, ComparableRunsRefusesMixedBuilds)
 {
     RunMeta a;
@@ -213,7 +224,7 @@ TEST(RunMeta, ComparableRunsRefusesMixedBuilds)
     b = a;
     b.traceEnabled = true;
     EXPECT_FALSE(comparableRuns(a, b, &why));
-    EXPECT_NE(why.find("F4T_ENABLE_TRACE"), std::string::npos);
+    EXPECT_NE(why.find("trace flags"), std::string::npos);
 
     b = a;
     b.checksEnabled = true;

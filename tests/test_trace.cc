@@ -74,15 +74,7 @@ TEST(TraceFlags, SetFlagsSelectsAndNegates)
     sim::trace::clearFlags();
     EXPECT_FALSE(sim::trace::enabled(Flag::Fpc));
 
-    std::size_t changed = sim::trace::setFlags("fpc,scheduler");
-    if (!sim::trace::compiledIn) {
-        // Flag state is maintained even when the text path is
-        // compiled out, so the selection still registers.
-        EXPECT_EQ(changed, 2u);
-        sim::trace::clearFlags();
-        return;
-    }
-    EXPECT_EQ(changed, 2u);
+    EXPECT_EQ(sim::trace::setFlags("fpc,scheduler"), 2u);
     EXPECT_TRUE(sim::trace::enabled(Flag::Fpc));
     EXPECT_TRUE(sim::trace::enabled(Flag::Scheduler));
     EXPECT_FALSE(sim::trace::enabled(Flag::Link));
@@ -111,11 +103,18 @@ TEST(TraceFlags, UnknownPatternChangesNothing)
         EXPECT_FALSE(sim::trace::enabled(static_cast<Flag>(i)));
 }
 
+TEST(TraceFlags, UnmatchedPatternNamesTheFirstUnknown)
+{
+    using sim::trace::unmatchedPattern;
+    EXPECT_EQ(unmatchedPattern("fpc,sch*"), "");
+    EXPECT_EQ(unmatchedPattern("*,-link"), "");
+    EXPECT_EQ(unmatchedPattern(""), "");
+    EXPECT_EQ(unmatchedPattern("fpc,nosuch,-other"), "nosuch");
+    EXPECT_EQ(unmatchedPattern("-nosuch"), "nosuch");
+}
+
 TEST(TraceFlags, EmittedLinesAreTickStamped)
 {
-    if (!sim::trace::compiledIn)
-        GTEST_SKIP() << "probe text lines compiled out";
-
     std::string path = tempPath("f4t_trace_lines.txt");
     std::FILE *out = std::fopen(path.c_str(), "w+");
     ASSERT_NE(out, nullptr);
@@ -224,9 +223,6 @@ TEST(Probe, FeedsRingTextAndTimeline)
     EXPECT_NE(json.find("timer_fire flow=0000002a a=3 b=4294967298"),
               std::string::npos)
         << json;
-
-    if (!sim::trace::compiledIn)
-        GTEST_SKIP() << "probe text lines compiled out";
     EXPECT_EQ(text, "        1234: Timer: test.probe.on timer_fire "
                     "flow=0000002a a=3 b=4294967298\n");
 }
